@@ -7,12 +7,21 @@ sample CGF at radius r is
 
 evaluated with max-subtraction (log-sum-exp) so large exponents cannot
 overflow. Its gradient in theta is r times the exponentially weighted mean of
-the rows. Directions that locally maximize G over the unit sphere are found by
-a fixed-step projected ascent restarted from many random points; with step
-1/r the unnormalized update lands exactly on the weighted row mean, so each
-iteration is
+the rows. One kernel serves every evaluation: it writes
+exp(r * Theta X^T - rowmax) in place into a caller-owned buffer.
 
-    theta_{i+1} = normalize(theta_i + weighted_row_mean(theta_i)).
+Directions that locally maximize G over the unit sphere are found by a
+fixed-step projected ascent restarted from many random points; with step 1/r
+the unnormalized update lands exactly on the weighted row mean, so each
+iteration applies the map
+
+    Phi(theta) = normalize(theta + weighted_row_mean(theta)).
+
+The multistart advances all active starts together, in blocks of at most 256
+so the buffer stays 256 x T. Re-estimating one maximum on changed data (the
+refine) accelerates Phi by Anderson mixing (Walker & Ni, SIAM J. Numer. Anal.
+49(4), 2011), keeping a mixed candidate only if G does not drop. Both stop at
+||Phi(theta) - theta|| <= tolerance and return Phi(theta).
 
 The projection radius is chosen from the closed-form relative variance of the
 CGF estimator, which depends on r only through a = r**2 * lambda1: the error
@@ -50,6 +59,9 @@ __all__ = [
 UnitDirection = np.ndarray
 
 _ASCENT_SLACK = 1e-12
+_BLOCK = 256  # starts per kernel call in the multistart
+_ANDERSON_DEPTH = 5  # residual differences kept by the refine
+_RIDGE = 1e-8  # Tikhonov weight of the mixing least squares, relative to its trace
 
 
 class ConvergenceError(RuntimeError):
@@ -162,9 +174,7 @@ def cgf_estimate(data: DataMatrix, r: float, theta) -> float:
         raise ValueError("r must be nonnegative")
     if r == 0.0:
         return 0.0
-    proj = r * (X @ th)
-    m = proj.max()
-    return float(m + np.log(np.mean(np.exp(proj - m))))
+    return float(_batch_cgf(X, r, th[None, :])[0])
 
 
 def cgf_gradient(data: DataMatrix, r: float, theta) -> np.ndarray:
@@ -174,9 +184,9 @@ def cgf_gradient(data: DataMatrix, r: float, theta) -> np.ndarray:
         raise ValueError("r must be nonnegative")
     if r == 0.0:
         return np.zeros(X.shape[1])
-    proj = r * (X @ th)
-    w = np.exp(proj - proj.max())
-    return r * (w @ X) / w.sum()
+    w = np.empty((1, X.shape[0]))
+    _, wsum = _exp_shifted(X, r, th[None, :], w)
+    return r * (w[0] @ X) / wsum[0]
 
 
 def relative_variance(r: float, lambda1: float, T: int) -> float:
@@ -184,7 +194,7 @@ def relative_variance(r: float, lambda1: float, T: int) -> float:
 
     Returns (4/T) * (e**a - 1) / a**2 with a = r**2 * lambda1, the closed-form
     approximation of Var[G_hat] / E[G_hat]**2 for T draws whose largest
-    covariance eigenvalue is lambda1.
+    covariance eigenvalue is lambda1; +inf once e**a overflows a float.
     """
     if not (r > 0):
         raise ValueError("r must be positive")
@@ -192,8 +202,7 @@ def relative_variance(r: float, lambda1: float, T: int) -> float:
         raise ValueError("lambda1 must be positive")
     if T < 1:
         raise ValueError("T must be >= 1")
-    a = r * r * lambda1
-    return (4.0 / T) * math.expm1(a) / (a * a)
+    return _error_sq(r * r * lambda1, T)
 
 
 def _error_sq(a: float, T: int) -> float:
@@ -287,10 +296,38 @@ def sample_unit_sphere(n: int, count: int, seed: int) -> np.ndarray:
     return v / norms[:, None]
 
 
+def _exp_shifted(
+    X: np.ndarray, r: float, thetas: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Write exp(r * thetas @ X.T - rowmax) into ``out``; return (rowmax, rowsum).
+
+    ``out`` is a caller-owned C-contiguous len(thetas) x T buffer, the one
+    T-sized array every CGF value, gradient and ascent step is read from.
+    """
+    np.matmul(thetas, X.T, out=out)
+    out *= r
+    m = out.max(axis=1)
+    out -= m[:, None]
+    np.exp(out, out=out)
+    return m, out.sum(axis=1)
+
+
 def _batch_cgf(X: np.ndarray, r: float, thetas: np.ndarray) -> np.ndarray:
-    proj = r * (thetas @ X.T)
-    m = proj.max(axis=1)
-    return m + np.log(np.mean(np.exp(proj - m[:, None]), axis=1))
+    values = np.empty(thetas.shape[0])
+    buf = np.empty((min(_BLOCK, thetas.shape[0]), X.shape[0]))
+    for lo in range(0, thetas.shape[0], _BLOCK):
+        block = thetas[lo : lo + _BLOCK]
+        m, wsum = _exp_shifted(X, r, block, buf[: block.shape[0]])
+        values[lo : lo + block.shape[0]] = m + np.log(wsum / X.shape[0])
+    return values
+
+
+def _fixed_step(cur: np.ndarray, step: np.ndarray) -> np.ndarray:
+    # Phi on each row: normalize(cur + step); a row whose sum is exactly zero stays put
+    new = cur + step
+    norms = np.linalg.norm(new, axis=1, keepdims=True)
+    stalled = norms == 0.0
+    return np.where(stalled, cur, new / np.where(stalled, 1.0, norms))
 
 
 def _ascend(
@@ -303,8 +340,9 @@ def _ascend(
     """Fixed-step projected ascent from each row of ``starts``.
 
     Returns (final thetas, per-start update counts, converged mask, total
-    updates, ascent violations). Rows are arithmetically independent, so the
-    batch evaluates exactly as a per-start loop would.
+    updates, ascent violations). Every iteration advances all active starts,
+    _BLOCK at a time; rows are arithmetically independent, so the batch
+    evaluates as a per-start loop would.
     """
     thetas = np.array(starts, dtype=float)
     n_starts = thetas.shape[0]
@@ -313,38 +351,32 @@ def _ascend(
     active = np.ones(n_starts, dtype=bool)
     last_g = np.full(n_starts, np.nan)
     violations = 0
+    buf = np.empty((min(_BLOCK, n_starts), X.shape[0]))
 
     for _ in range(max_iters):
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        live = np.flatnonzero(active)
+        if live.size == 0:
             break
-        cur = thetas[idx]
-        proj = r * (cur @ X.T)
-        m = proj.max(axis=1)
-        w = np.exp(proj - m[:, None])
-        wsum = w.sum(axis=1)
+        for lo in range(0, live.size, _BLOCK):
+            idx = live[lo : lo + _BLOCK]
+            cur = thetas[idx]
+            w = buf[: idx.size]
+            m, wsum = _exp_shifted(X, r, cur, w)
 
-        g_here = m + np.log(wsum / X.shape[0])
-        prev = last_g[idx]
-        seen = ~np.isnan(prev)
-        slack = _ASCENT_SLACK * np.maximum(1.0, np.abs(prev[seen]))
-        violations += int(np.sum(g_here[seen] < prev[seen] - slack))
-        last_g[idx] = g_here
+            g_here = m + np.log(wsum / X.shape[0])
+            prev = last_g[idx]
+            seen = ~np.isnan(prev)
+            slack = _ASCENT_SLACK * np.maximum(1.0, np.abs(prev[seen]))
+            violations += int(np.sum(g_here[seen] < prev[seen] - slack))
+            last_g[idx] = g_here
 
-        step = (w @ X) / wsum[:, None]
-        new = cur + step
-        norms = np.linalg.norm(new, axis=1)
-        stalled = norms == 0.0  # theta exactly cancels the step; stay put
-        norms[stalled] = 1.0
-        new = new / norms[:, None]
-        new[stalled] = cur[stalled]
-
-        delta = np.linalg.norm(new - cur, axis=1)
-        thetas[idx] = new
-        iters[idx] += 1
-        done = delta <= tolerance
-        converged[idx[done]] = True
-        active[idx[done]] = False
+            new = _fixed_step(cur, (w @ X) / wsum[:, None])
+            delta = np.linalg.norm(new - cur, axis=1)
+            thetas[idx] = new
+            iters[idx] += 1
+            done = delta <= tolerance
+            converged[idx[done]] = True
+            active[idx[done]] = False
 
     # close the ascent check on the accepted iterates
     idx = np.flatnonzero(~np.isnan(last_g))
@@ -419,12 +451,68 @@ def refine_direction(
 ) -> tuple[np.ndarray, int, bool]:
     """Single warm-started ascent run used to track a maximum on shrinking data.
 
-    Returns (direction, updates used, converged). A run that exhausts
-    max_iters keeps its final iterate: the caller is tracking a local maximum
-    across small data changes, where the last iterate is the best available
-    estimate.
+    Anderson-accelerated iteration of the multistart's map Phi (module
+    docstring). A candidate that lowers G by more than the ascent slack is
+    dropped for the plain Phi step and the mixing history is cleared. Stops
+    when ||Phi(theta) - theta|| <= tolerance and returns Phi(theta).
+
+    Returns (direction, Phi evaluations used, converged); rejected candidates
+    count as evaluations. A run that exhausts max_iters keeps its last Phi
+    step: the caller is tracking a local maximum across small data changes,
+    where that is the best available estimate.
     """
     X = np.asarray(values, dtype=float)
-    start = unit_vector(theta)[None, :]
-    thetas, iters, converged, _, _ = _ascend(X, r, start, tolerance, max_iters)
-    return thetas[0], int(iters[0]), bool(converged[0])
+    buf = np.empty((1, X.shape[0]))
+
+    def evaluate(th: np.ndarray) -> tuple[float, np.ndarray]:
+        m, wsum = _exp_shifted(X, r, th, buf)
+        return float(m[0] + np.log(wsum[0] / X.shape[0])), _fixed_step(th, (buf @ X) / wsum[0])
+
+    theta = unit_vector(theta)[None, :]
+    g, phi = evaluate(theta)
+    used = 1
+    hist = np.empty((0, 2 * theta.shape[1]))  # last _ANDERSON_DEPTH + 1 rows [residual, Phi]
+    while True:
+        res = phi - theta
+        if np.linalg.norm(res) <= tolerance:
+            return phi[0], used, True
+        if used >= max_iters:
+            return phi[0], used, False
+        hist = np.vstack([hist[-_ANDERSON_DEPTH:], np.hstack([res, phi])])
+
+        cand = _anderson_mix(hist)
+        if cand is not None:
+            g_cand, phi_cand = evaluate(cand)
+            used += 1
+            if g_cand >= g - _ASCENT_SLACK * max(1.0, abs(g)):
+                theta, g, phi = cand, g_cand, phi_cand
+                continue
+            if used >= max_iters:
+                return phi[0], used, False
+            hist = hist[-1:]
+        theta = phi
+        g, phi = evaluate(theta)
+        used += 1
+
+
+def _anderson_mix(hist: np.ndarray) -> np.ndarray | None:
+    """Normalized Anderson candidate from rows [residual, Phi], newest last; or None.
+
+    The weights fit the newest residual by the residual differences in least
+    squares with a small ridge (regularized nonlinear acceleration, Scieur,
+    d'Aspremont & Bach, NeurIPS 2016), which bounds how far round-off in
+    nearly parallel differences can move them.
+    """
+    n = hist.shape[1] // 2
+    diffs = hist[1:] - hist[:-1]
+    gram = diffs[:, :n] @ diffs[:, :n].T
+    scale = float(np.trace(gram))
+    if not (scale > 0.0 and np.isfinite(scale)):  # a single row, or no movement
+        return None
+    gram.flat[:: len(gram) + 1] += _RIDGE * scale
+    gamma = np.linalg.solve(gram, diffs[:, :n] @ hist[-1, :n])
+    cand = hist[-1, n:] - gamma @ diffs[:, n:]
+    norm = float(np.linalg.norm(cand))
+    if not (norm > 0.0 and np.isfinite(norm)):
+        return None
+    return (cand / norm)[None, :]

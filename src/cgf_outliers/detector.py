@@ -23,7 +23,6 @@ import numpy as np
 
 from .cgf import (
     MultistartConfig,
-    RadiusSelection,
     maximize_cgf,
     refine_direction,
     select_radius,
@@ -100,14 +99,17 @@ class DetectionReport:
     q_scores holds each observation's last computed score: the score that
     removed it, or its score in the final surviving projection. Rows that were
     never scored (data exhausted before any scoring) keep NaN.
-    iterations_total counts every ascent update spent (multistart plus
-    re-estimations; the PCA baseline counts one per re-estimation).
+    iterations_total counts every ascent map evaluation spent (multistart
+    updates plus re-estimation evaluations, rejected accelerated candidates
+    included; the PCA baseline counts one per re-estimation). r_used is the
+    projection radius. A re-estimation that hits max_iters without converging
+    keeps its last iterate; their number is reported in warnings.
     """
 
     outlier_flags: np.ndarray
     q_scores: np.ndarray
     directions_used: list[DirectionTrace]
-    r_used: RadiusSelection
+    r_used: float
     iterations_total: int
     beta: float
     method: DetectionMethod
@@ -169,6 +171,7 @@ def detect(data: DataMatrix, config: DetectorConfig) -> DetectionReport:
             f"using the variance-minimizing radius (eps {r_sel.eps_achieved:.4g})"
         )
     iterations_total = 0
+    nonconverged = 0
     if config.method is DetectionMethod.MAX_CGF:
         result = maximize_cgf(centered, r, config.multistart)
         candidates = [
@@ -232,11 +235,12 @@ def detect(data: DataMatrix, config: DetectorConfig) -> DetectionReport:
                 alive = alive[keep]
 
             if config.method is DetectionMethod.MAX_CGF:
-                theta, used, _ = refine_direction(
+                theta, used, converged = refine_direction(
                     Y, r, theta, config.multistart.tolerance, config.multistart.max_iters
                 )
                 trace.refine_iterations += used
                 iterations_total += used
+                nonconverged += not converged
             else:
                 if alive.size < 2:
                     trace.note = "too few rows to re-estimate"
@@ -261,6 +265,11 @@ def detect(data: DataMatrix, config: DetectorConfig) -> DetectionReport:
                 trace.note = "too few rows to keep scoring"
                 break
 
+    if nonconverged:
+        warnings.append(
+            f"{nonconverged} re-estimation(s) hit max_iters="
+            f"{config.multistart.max_iters} without converging"
+        )
     return DetectionReport(
         outlier_flags=flags,
         q_scores=scores,

@@ -9,10 +9,8 @@ envelope repair.
 
 from __future__ import annotations
 
-import os
 import time
 import warnings as _warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -129,14 +127,6 @@ def default_beta_grid(lo: float = 0.5, step: float = 0.25, hi: float = 10.0) -> 
     return lo + step * np.arange(count)
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("CGF_OUTLIERS_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def roc_sweep(
     dataset: LabeledDataset,
     method: DetectionMethod | str,
@@ -146,9 +136,7 @@ def roc_sweep(
     """Detect once per beta (same seed each run) and assemble the ROC curve.
 
     A beta whose run raises a detection error is dropped from the curve with
-    a warning and recorded in RocCurve.failures. Runs are independent; when
-    CGF_OUTLIERS_THREADS is set above 1 they execute as a thread pool, merged
-    back in grid order.
+    a warning and recorded in RocCurve.failures.
     """
     grid = [float(b) for b in np.asarray(beta_grid, dtype=float).ravel()]
     if not grid:
@@ -157,42 +145,22 @@ def roc_sweep(
         raise ValueError("beta_grid must be strictly ascending")
     method = DetectionMethod(method)
 
-    def run(beta: float):
-        config = replace(base_config, beta=beta, method=method)
-        start = time.perf_counter()
-        report = detect(dataset.data, config)
-        elapsed = time.perf_counter() - start
-        tpr, fpr = confusion_rates(report.outlier_flags, dataset.truth)
-        return beta, fpr, tpr, elapsed
-
     entries: list[tuple[float, float, float]] = []
     failures: list[tuple[float, str]] = []
     timings: list[tuple[float, float]] = []
 
-    workers = _max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_guarded(run), grid))
-    else:
-        outcomes = [_guarded(run)(beta) for beta in grid]
-
-    for beta, outcome in zip(grid, outcomes):
-        if isinstance(outcome, Exception):
-            _warnings.warn(f"beta={beta:g} failed: {outcome}", stacklevel=2)
-            failures.append((beta, str(outcome)))
-        else:
-            b, fpr, tpr, elapsed = outcome
-            entries.append((b, fpr, tpr))
-            timings.append((b, elapsed))
+    for beta in grid:
+        config = replace(base_config, beta=beta, method=method)
+        start = time.perf_counter()
+        try:
+            report = detect(dataset.data, config)
+        except DetectionError as err:
+            _warnings.warn(f"beta={beta:g} failed: {err}", stacklevel=2)
+            failures.append((beta, str(err)))
+            continue
+        elapsed = time.perf_counter() - start
+        tpr, fpr = confusion_rates(report.outlier_flags, dataset.truth)
+        entries.append((beta, fpr, tpr))
+        timings.append((beta, elapsed))
 
     return assemble_curve(entries, tuple(failures), tuple(timings))
-
-
-def _guarded(fn):
-    def wrapped(beta):
-        try:
-            return fn(beta)
-        except DetectionError as err:
-            return err
-
-    return wrapped

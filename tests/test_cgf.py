@@ -19,7 +19,8 @@ from cgf_outliers import (
     select_radius,
     unit_vector,
 )
-from cgf_outliers.cgf import _ascend
+import cgf_outliers.cgf as cgf_module
+from cgf_outliers.cgf import _ascend, _batch_cgf
 
 # frozen high-precision constants (mpmath, 50 digits)
 LN_COSH_1 = 0.4337808304830272
@@ -124,6 +125,14 @@ def test_relative_variance_is_u_shaped_in_r():
     assert np.all(np.diff(vals[k:]) > 0)
     # the minimizing a = r^2 lambda1 sits at the analytic argmin
     assert abs(rs[k] ** 2 * lam - A_STAR) < 0.05
+
+
+def test_relative_variance_overflows_to_inf():
+    # e**a overflows a float past a ~ 709.78; the curve is +inf there, not an error
+    assert relative_variance(100.0, 1.0, 500) == math.inf
+    assert math.isfinite(relative_variance(26.0, 1.0, 500))
+    with pytest.raises(ValueError):
+        relative_variance(0.0, 1.0, 500)
 
 
 def test_select_radius_feasible_case():
@@ -291,3 +300,76 @@ def test_unit_vector():
     np.testing.assert_allclose(v, [0.6, 0.8], atol=1e-15)
     with pytest.raises(ValueError):
         unit_vector(np.zeros(2))
+
+
+def _skewed_data(seed: int, T: int = 400) -> DataMatrix:
+    # independent exponential columns of unequal scale: one CGF maximum per half-sphere
+    rng = np.random.default_rng(seed)
+    return center(DataMatrix(rng.exponential(size=(T, 3)) * np.array([1.5, 1.0, 0.6])))
+
+
+def test_batch_cgf_matches_estimate_across_blocks():
+    rng = np.random.default_rng(31)
+    data = center(DataMatrix(rng.normal(size=(70, 4))))
+    thetas = sample_unit_sphere(4, cgf_module._BLOCK + 44, seed=31)
+    values = _batch_cgf(data.values, 1.7, thetas)
+    expected = np.array([cgf_estimate(data, 1.7, th) for th in thetas])
+    np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+
+
+def test_maximize_with_more_starts_than_a_block(monkeypatch):
+    rng = np.random.default_rng(17)
+    data = center(DataMatrix(rng.normal(size=(90, 4)) * np.array([2.0, 1.0, 1.0, 0.5])))
+    config = MultistartConfig(n_starts=cgf_module._BLOCK + 60, seed=17)
+    blocked = maximize_cgf(data, 1.1, config)
+    for theta, value in zip(blocked.directions, blocked.cgf_values):
+        assert abs(value - cgf_estimate(data, 1.1, theta)) <= 1e-12
+    monkeypatch.setattr(cgf_module, "_BLOCK", 4 * config.n_starts)
+    whole = maximize_cgf(data, 1.1, config)
+    assert len(whole) == len(blocked)
+    assert whole.total_iterations == blocked.total_iterations
+    np.testing.assert_allclose(blocked.directions, whole.directions, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(blocked.cgf_values, whole.cgf_values, rtol=0, atol=1e-12)
+
+
+def test_refine_satisfies_first_order_condition_and_ascends():
+    tol, r = 1e-7, 1.2
+    for seed in range(5):
+        data = _skewed_data(seed)
+        start = sample_unit_sphere(3, 1, seed=seed)[0]
+        theta, used, converged = refine_direction(data.values, r, start, tolerance=tol)
+        assert converged and used >= 1
+        assert abs(np.linalg.norm(theta) - 1.0) < 1e-12
+        grad = cgf_gradient(data, r, theta)
+        tangential = grad - (grad @ theta) * theta
+        assert np.linalg.norm(tangential) <= 10 * tol * np.linalg.norm(grad)
+        assert cgf_estimate(data, r, theta) >= cgf_estimate(data, r, start)
+
+
+def test_refine_reaches_the_fixed_step_maximum():
+    for seed in range(5):
+        data = _skewed_data(seed)
+        start = sample_unit_sphere(3, 1, seed=100 + seed)
+        theta, _, converged = refine_direction(data.values, 1.2, start[0])
+        plain, _, plain_converged, _, _ = _ascend(data.values, 1.2, start, 1e-7, 10_000)
+        assert converged and plain_converged[0]
+        assert abs(float(theta @ plain[0])) >= 1 - 1e-9
+
+
+def test_refine_counts_every_kernel_call(monkeypatch):
+    calls = []
+    kernel = cgf_module._exp_shifted
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(cgf_module, "_exp_shifted", counted)
+    for seed in range(5):
+        data = _skewed_data(seed, T=120)
+        calls.clear()
+        _, used, _ = refine_direction(data.values, 1.5, sample_unit_sphere(3, 1, seed=seed)[0])
+        assert used == len(calls)
+        calls.clear()
+        _, used, _ = refine_direction(data.values, 1.5, np.ones(3), max_iters=3)
+        assert used == len(calls) <= 3

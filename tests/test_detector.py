@@ -191,3 +191,25 @@ def test_flag_count_monotone_in_beta_on_average():
         cfg = DetectorConfig(beta=beta, multistart=MultistartConfig(n_starts=40, seed=8))
         counts.append(detect(ds.data, cfg).n_flagged)
     assert counts[0] >= counts[1] >= counts[2]
+
+
+def test_nonconverged_refine_is_reported(monkeypatch):
+    import cgf_outliers.detector as detector_module
+
+    real = detector_module.refine_direction
+    calls = []
+
+    def first_fails(*args):
+        theta, used, converged = real(*args)
+        calls.append(used)
+        return theta, used, converged and len(calls) > 1
+
+    monkeypatch.setattr(detector_module, "refine_direction", first_fails)
+    ds = inject_outliers(SimulationSpec(family="std_normal", n=4, T=100, seed=3))
+    cfg = DetectorConfig(beta=3.0, multistart=MultistartConfig(n_starts=20, seed=3))
+    report = detect(ds.data, cfg)
+    assert len(calls) >= 1
+    expected = f"1 re-estimation(s) hit max_iters={cfg.multistart.max_iters} without converging"
+    assert report.warnings.count(expected) == 1
+    monkeypatch.setattr(detector_module, "refine_direction", real)
+    assert not any("re-estimation" in w for w in detect(ds.data, cfg).warnings)

@@ -175,16 +175,3 @@ def test_roc_sweep_pca_method():
     curve = roc_sweep(dataset, "pca", [3.0, 6.0], _sweep_config())
     assert len(curve.points) == 2
     assert 0.0 <= curve.auc <= 1.0
-
-
-def test_roc_sweep_threaded_matches_serial(monkeypatch):
-    dataset = _planted_dataset()
-    config = _sweep_config()
-    grid = [2.0, 4.0, 6.0]
-    serial = roc_sweep(dataset, "maxcgf", grid, config)
-    monkeypatch.setenv("CGF_OUTLIERS_THREADS", "2")
-    threaded = roc_sweep(dataset, "maxcgf", grid, config)
-    assert serial.auc == threaded.auc
-    assert [(p.beta, p.fpr, p.tpr) for p in serial.points] == [
-        (p.beta, p.fpr, p.tpr) for p in threaded.points
-    ]
