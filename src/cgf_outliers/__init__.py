@@ -11,139 +11,22 @@ the distributions module regenerates the synthetic experiment families
 
 __version__ = "0.1.0"
 
-from .linalg_stats import (
-    CovarianceSummary,
-    DataMatrix,
-    DegenerateInputError,
-    center,
-    covariance_pca,
-    first_four_cumulants,
-    kurtosis,
-    median_and_mad,
-)
-from .cgf import (
-    ConvergenceError,
-    MaximizerResult,
-    MultistartConfig,
-    RadiusSelection,
-    cgf_estimate,
-    cgf_gradient,
-    maximize_cgf,
-    refine_direction,
-    relative_variance,
-    sample_unit_sphere,
-    select_radius,
-    unit_vector,
-)
-from .distributions import (
-    FAMILIES,
-    LabeledDataset,
-    SimulationSpec,
-    SkewNormalParams,
-    cgf_skew_normal_analytic,
-    default_covariance,
-    inject_outliers,
-    sample_normal,
-    sample_skew_normal,
-    sample_student_t,
-)
-from .detector import (
-    DegenerateProjectionError,
-    DetectionError,
-    DetectionMethod,
-    DetectionReport,
-    DetectorConfig,
-    DirectionTrace,
-    detect,
-    q_scores,
-)
-from .evaluation import (
-    RocCurve,
-    RocPoint,
-    assemble_curve,
-    confusion_rates,
-    default_beta_grid,
-    roc_sweep,
-)
-from .io import (
-    PriceTable,
-    compute_returns,
-    jsonify,
-    label_by_crisis,
-    read_data_csv,
-    read_labels_csv,
-    read_price_csv,
-    write_data_csv,
-    write_json,
-    write_labels_csv,
-    write_roc_csv,
-)
-from .cli import main, run_cli
+from . import cgf, cli, detector, distributions, evaluation, io, linalg_stats
+from .linalg_stats import *  # noqa: F401,F403
+from .cgf import *  # noqa: F401,F403
+from .distributions import *  # noqa: F401,F403
+from .detector import *  # noqa: F401,F403
+from .evaluation import *  # noqa: F401,F403
+from .io import *  # noqa: F401,F403
+from .cli import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    # linalg_stats
-    "CovarianceSummary",
-    "DataMatrix",
-    "DegenerateInputError",
-    "center",
-    "covariance_pca",
-    "first_four_cumulants",
-    "kurtosis",
-    "median_and_mad",
-    # cgf
-    "ConvergenceError",
-    "MaximizerResult",
-    "MultistartConfig",
-    "RadiusSelection",
-    "cgf_estimate",
-    "cgf_gradient",
-    "maximize_cgf",
-    "refine_direction",
-    "relative_variance",
-    "sample_unit_sphere",
-    "select_radius",
-    "unit_vector",
-    # distributions
-    "FAMILIES",
-    "LabeledDataset",
-    "SimulationSpec",
-    "SkewNormalParams",
-    "cgf_skew_normal_analytic",
-    "default_covariance",
-    "inject_outliers",
-    "sample_normal",
-    "sample_skew_normal",
-    "sample_student_t",
-    # detector
-    "DegenerateProjectionError",
-    "DetectionError",
-    "DetectionMethod",
-    "DetectionReport",
-    "DetectorConfig",
-    "DirectionTrace",
-    "detect",
-    "q_scores",
-    # evaluation
-    "RocCurve",
-    "RocPoint",
-    "assemble_curve",
-    "confusion_rates",
-    "default_beta_grid",
-    "roc_sweep",
-    # io
-    "PriceTable",
-    "compute_returns",
-    "jsonify",
-    "label_by_crisis",
-    "read_data_csv",
-    "read_labels_csv",
-    "read_price_csv",
-    "write_data_csv",
-    "write_json",
-    "write_labels_csv",
-    "write_roc_csv",
-    # cli
-    "main",
-    "run_cli",
+    *linalg_stats.__all__,
+    *cgf.__all__,
+    *distributions.__all__,
+    *detector.__all__,
+    *evaluation.__all__,
+    *io.__all__,
+    *cli.__all__,
 ]

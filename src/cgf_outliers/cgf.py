@@ -40,7 +40,6 @@ import numpy as np
 from .linalg_stats import DataMatrix, _readonly
 
 __all__ = [
-    "UnitDirection",
     "RadiusSelection",
     "MultistartConfig",
     "MaximizerResult",

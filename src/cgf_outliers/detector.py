@@ -1,9 +1,11 @@
 """Projection-pursuit outlier detection with a kurtosis-guarded removal loop.
 
-The detector centers the data once, picks the projection radius from the
-relative-error rule, and collects candidate directions (multistart CGF
-maxima, or PC1 for the baseline). For each direction, taken in CGF-descending
-order, observations are scored by
+Detection runs in two steps. `fit` does everything that does not depend on
+the threshold beta: it centers the data once, picks the projection radius
+from the relative-error rule, and pairs candidate directions (multistart CGF
+maxima, or PC1 for the baseline) with the method's re-estimator. `remove`
+then runs the removal loop at one beta. For each direction, taken in
+CGF-descending order, observations are scored by
 
     q_t = |z_t - median(Z)| / MAD(Z)
 
@@ -11,18 +13,21 @@ on the projection Z and removed while they exceed the threshold beta; after
 each removal the direction is re-estimated on the surviving rows and the loop
 continues only while the projection's kurtosis strictly decreases. Removals
 accumulate across directions, and every removed row is reported as an outlier
-of the original matrix.
+of the original matrix. `detect` is `remove(fit(data, config), config.beta)`;
+a beta sweep fits once and removes once per beta.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cgf import (
     MultistartConfig,
+    RadiusSelection,
     maximize_cgf,
     refine_direction,
     select_radius,
@@ -30,6 +35,7 @@ from .cgf import (
 from .linalg_stats import (
     DataMatrix,
     DegenerateInputError,
+    _readonly,
     center,
     covariance_pca,
     kurtosis,
@@ -41,9 +47,12 @@ __all__ = [
     "DetectorConfig",
     "DirectionTrace",
     "DetectionReport",
+    "FittedDetector",
     "DegenerateProjectionError",
     "DetectionError",
     "q_scores",
+    "fit",
+    "remove",
     "detect",
 ]
 
@@ -120,6 +129,24 @@ class DetectionReport:
         return int(self.outlier_flags.sum())
 
 
+@dataclass(frozen=True, eq=False)
+class FittedDetector:
+    """The beta-free part of detection; `remove` reads it and never changes it.
+
+    candidates are (direction, CGF value or None) in loop order. reestimate
+    maps (cleaned rows, direction) to (direction, evaluations, converged), or
+    to None when too few rows remain. iterations and warnings open every report.
+    """
+
+    config: DetectorConfig
+    centered: DataMatrix
+    radius: RadiusSelection
+    candidates: tuple[tuple[np.ndarray, float | None], ...]
+    reestimate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int, bool] | None]
+    iterations: int
+    warnings: tuple[str, ...]
+
+
 def q_scores(z) -> np.ndarray:
     """Per-observation outlyingness |z_t - median| / MAD of a projection."""
     arr = np.asarray(z, dtype=float).ravel()
@@ -131,26 +158,17 @@ def q_scores(z) -> np.ndarray:
     return np.abs(arr - med) / mad
 
 
-def _pc1(values: np.ndarray) -> np.ndarray:
-    cov = np.cov(values, rowvar=False, ddof=1)
-    cov = 0.5 * (np.atleast_2d(cov) + np.atleast_2d(cov).T)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    v = eigvecs[:, -1]
-    return _fix_sign(v)
-
-
 def _fix_sign(v: np.ndarray) -> np.ndarray:
     # deterministic representative of the +-v pair: largest-|entry| positive
     pivot = int(np.argmax(np.abs(v)))
     return -v if v[pivot] < 0 else v
 
 
-def detect(data: DataMatrix, config: DetectorConfig) -> DetectionReport:
-    """Run the full detection loop; see the module docstring for the scheme.
+def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
+    """Center, select the radius, and pair the candidates with their re-estimator.
 
-    The radius is selected once from the original centered data and reused
-    throughout. Directions are re-estimated on cleaned data by a warm-started
-    ascent (method maxcgf) or by PC1 of the cleaned rows (method pca).
+    maxcgf: multistart CGF maxima, re-estimated by a warm-started ascent.
+    pca: PC1, re-estimated as PC1 of the cleaned rows. config.beta is not read.
     """
     T = data.n_obs
     if T < 10:
@@ -163,6 +181,7 @@ def detect(data: DataMatrix, config: DetectorConfig) -> DetectionReport:
         raise DegenerateInputError("data has no variance to project")
     r_sel = select_radius(lambda1, T, config.target_eps)
     r = r_sel.r_bar
+    ms = config.multistart
 
     warnings: list[str] = []
     if not r_sel.feasible:
@@ -170,28 +189,49 @@ def detect(data: DataMatrix, config: DetectorConfig) -> DetectionReport:
             f"target eps {config.target_eps:g} unattainable at T={T}; "
             f"using the variance-minimizing radius (eps {r_sel.eps_achieved:.4g})"
         )
-    iterations_total = 0
-    nonconverged = 0
+    iterations = 0
     if config.method is DetectionMethod.MAX_CGF:
-        result = maximize_cgf(centered, r, config.multistart)
-        candidates = [
+        result = maximize_cgf(centered, r, ms)
+        candidates = tuple(
             (result.directions[k], float(result.cgf_values[k])) for k in range(len(result))
-        ]
-        iterations_total += result.total_iterations
+        )
+        iterations = result.total_iterations
         if result.ascent_violations:
             warnings.append(
                 f"{result.ascent_violations} ascent iterations decreased the objective"
             )
+
+        def reestimate(Y, theta):
+            return refine_direction(Y, r, theta, ms.tolerance, ms.max_iters)
+
     else:
-        candidates = [(_fix_sign(cov.pc1), None)]
+        candidates = ((_readonly(_fix_sign(cov.pc1)), None),)
+
+        def reestimate(Y, theta):
+            if Y.shape[0] < 2:
+                return None
+            return _fix_sign(covariance_pca(DataMatrix(Y)).pc1), 1, True
+
+    return FittedDetector(config, centered, r_sel, candidates, reestimate, iterations,
+                          tuple(warnings))
+
+
+def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
+    """Run the removal loop at threshold beta; one fit serves any number of betas."""
+    if not (beta > 0):
+        raise ValueError("beta must be positive")
+    T = fitted.centered.n_obs
+    warnings = list(fitted.warnings)
+    iterations_total = fitted.iterations
+    nonconverged = 0
 
     flags = np.zeros(T, dtype=bool)
     scores = np.full(T, np.nan)
     alive = np.arange(T)
-    Y = centered.values
+    Y = fitted.centered.values
     traces: list[DirectionTrace] = []
 
-    for theta0, cgf_value in candidates:
+    for theta0, cgf_value in fitted.candidates:
         if alive.size < 3:
             warnings.append(
                 f"{alive.size} rows remain; stopping before direction {len(traces) + 1}"
@@ -222,7 +262,7 @@ def detect(data: DataMatrix, config: DetectorConfig) -> DetectionReport:
                 break
             scores[alive] = q
 
-            out = q > config.beta  # strict: ties at beta stay
+            out = q > beta  # strict: ties at beta stay
             if bool(out.all()):
                 raise DetectionError(
                     "every remaining observation scored above beta; nothing would survive"
@@ -234,20 +274,14 @@ def detect(data: DataMatrix, config: DetectorConfig) -> DetectionReport:
                 Y = Y[keep]
                 alive = alive[keep]
 
-            if config.method is DetectionMethod.MAX_CGF:
-                theta, used, converged = refine_direction(
-                    Y, r, theta, config.multistart.tolerance, config.multistart.max_iters
-                )
-                trace.refine_iterations += used
-                iterations_total += used
-                nonconverged += not converged
-            else:
-                if alive.size < 2:
-                    trace.note = "too few rows to re-estimate"
-                    break
-                theta = _pc1(Y)
-                trace.refine_iterations += 1
-                iterations_total += 1
+            step = fitted.reestimate(Y, theta)
+            if step is None:
+                trace.note = "too few rows to re-estimate"
+                break
+            theta, used, converged = step
+            trace.refine_iterations += used
+            iterations_total += used
+            nonconverged += not converged
             trace.final_direction = theta
 
             z = Y @ theta
@@ -268,15 +302,20 @@ def detect(data: DataMatrix, config: DetectorConfig) -> DetectionReport:
     if nonconverged:
         warnings.append(
             f"{nonconverged} re-estimation(s) hit max_iters="
-            f"{config.multistart.max_iters} without converging"
+            f"{fitted.config.multistart.max_iters} without converging"
         )
     return DetectionReport(
         outlier_flags=flags,
         q_scores=scores,
         directions_used=traces,
-        r_used=r,
+        r_used=fitted.radius.r_bar,
         iterations_total=iterations_total,
-        beta=config.beta,
-        method=config.method,
+        beta=beta,
+        method=fitted.config.method,
         warnings=warnings,
     )
+
+
+def detect(data: DataMatrix, config: DetectorConfig) -> DetectionReport:
+    """Fit and run the removal loop at config.beta in one call."""
+    return remove(fit(data, config), config.beta)

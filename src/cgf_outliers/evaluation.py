@@ -1,10 +1,10 @@
 """ROC construction over a threshold grid: AUC, Youden's J, BCV, beta*.
 
-The detector is run once per beta with the same seed, so curve differences
-reflect only the threshold. Empirical curves need not be monotone (the
-iterative re-estimation can move mass around); points are sorted by FPR and
-integrated by the trapezoid rule between the (0,0) and (1,1) anchors, with no
-envelope repair.
+The detector is fitted once per dataset and its removal loop run once per
+beta, so curve differences reflect only the threshold. Empirical curves need
+not be monotone (the iterative re-estimation can move mass around); points
+are sorted by FPR and integrated by the trapezoid rule between the (0,0) and
+(1,1) anchors, with no envelope repair.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import DetectionError, DetectionMethod, DetectorConfig, detect
+from .detector import DetectionError, DetectionMethod, DetectorConfig, fit, remove
+from .detector import detect  # noqa: F401  (unused; perfbench/tracer.py wraps evaluation.detect)
 from .distributions import LabeledDataset
 
 __all__ = [
@@ -46,8 +47,9 @@ class RocCurve:
     bcv is the largest Youden's J over the curve, where the implicit (0,0)
     and (1,1) anchors contribute J = 0; beta_star is the smallest beta
     attaining it (NaN when only an anchor does). failures lists (beta,
-    message) for grid points whose detector run errored; timings lists
-    (beta, seconds) wall clock per completed run.
+    message) for grid points whose removal loop errored; timings lists
+    (beta, seconds) wall clock of each completed per-beta `remove`, which
+    excludes the fit the betas share.
     """
 
     points: tuple[RocPoint, ...]
@@ -133,10 +135,11 @@ def roc_sweep(
     beta_grid,
     base_config: DetectorConfig,
 ) -> RocCurve:
-    """Detect once per beta (same seed each run) and assemble the ROC curve.
+    """Fit once, run the removal loop once per beta, and assemble the ROC curve.
 
-    A beta whose run raises a detection error is dropped from the curve with
-    a warning and recorded in RocCurve.failures.
+    Every beta reads the same fit, so each point equals a direct `detect` at
+    that beta. A beta whose removal loop raises a detection error is dropped
+    from the curve with a warning and recorded in RocCurve.failures.
     """
     grid = [float(b) for b in np.asarray(beta_grid, dtype=float).ravel()]
     if not grid:
@@ -149,11 +152,11 @@ def roc_sweep(
     failures: list[tuple[float, str]] = []
     timings: list[tuple[float, float]] = []
 
+    fitted = fit(dataset.data, replace(base_config, method=method))
     for beta in grid:
-        config = replace(base_config, beta=beta, method=method)
         start = time.perf_counter()
         try:
-            report = detect(dataset.data, config)
+            report = remove(fitted, beta)
         except DetectionError as err:
             _warnings.warn(f"beta={beta:g} failed: {err}", stacklevel=2)
             failures.append((beta, str(err)))

@@ -1,5 +1,7 @@
 """Unit tests for the detection loop, q-scores, and the PCA baseline."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,16 @@ from cgf_outliers import (
     DetectionError,
     DetectionMethod,
     DetectorConfig,
+    DirectionTrace,
     MultistartConfig,
     SimulationSpec,
     covariance_pca,
     center,
     detect,
+    fit,
     inject_outliers,
     q_scores,
+    remove,
     select_radius,
 )
 
@@ -213,3 +218,41 @@ def test_nonconverged_refine_is_reported(monkeypatch):
     assert report.warnings.count(expected) == 1
     monkeypatch.setattr(detector_module, "refine_direction", real)
     assert not any("re-estimation" in w for w in detect(ds.data, cfg).warnings)
+
+
+def _assert_same_report(a, b):
+    assert np.array_equal(a.outlier_flags, b.outlier_flags)
+    assert np.array_equal(np.isnan(a.q_scores), np.isnan(b.q_scores))
+    assert np.array_equal(a.q_scores, b.q_scores, equal_nan=True)
+    assert a.iterations_total == b.iterations_total
+    assert a.warnings == b.warnings
+    assert a.r_used == b.r_used
+    assert (a.beta, a.method) == (b.beta, b.method)
+    assert len(a.directions_used) == len(b.directions_used)
+    for ta, tb in zip(a.directions_used, b.directions_used):
+        for f in fields(DirectionTrace):
+            va, vb = getattr(ta, f.name), getattr(tb, f.name)
+            if isinstance(va, np.ndarray):
+                assert np.array_equal(va, vb), f.name
+            else:
+                assert va == vb, f.name
+
+
+def test_remove_on_one_fit_matches_detect_at_each_beta():
+    # T=40 is far below what the 10% target needs, so the fit's infeasible
+    # radius warning must open every report
+    ds = inject_outliers(SimulationSpec(family="std_normal", n=4, T=40, seed=2))
+    for method in ("maxcgf", "pca"):
+        cfg = DetectorConfig(
+            beta=3.0, method=method, multistart=MultistartConfig(n_starts=20, seed=2)
+        )
+        fitted = fit(ds.data, cfg)
+        assert not fitted.radius.feasible
+        for beta in (1.5, 2.5, 4.0):
+            report = remove(fitted, beta)
+            assert "unattainable" in report.warnings[0]
+            assert report.n_flagged > 0
+            _assert_same_report(report, detect(ds.data, replace(cfg, beta=beta)))
+            _assert_same_report(report, remove(fitted, beta))
+        with pytest.raises(ValueError):
+            remove(fitted, 0.0)

@@ -1,10 +1,13 @@
 """Unit tests for ROC assembly, summary statistics, and the beta sweep."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cgf_outliers import (
     DataMatrix,
+    DetectionError,
     DetectorConfig,
     LabeledDataset,
     MultistartConfig,
@@ -129,21 +132,44 @@ def _sweep_config() -> DetectorConfig:
 
 
 def test_roc_sweep_single_beta_matches_direct_detect():
+    # one fit serves the whole grid: every point and every failure must be
+    # what a direct detect at that beta gives
     dataset = _planted_dataset()
-    config = _sweep_config()
-    curve = roc_sweep(dataset, "maxcgf", [4.0], config)
+    grid = [1e-9, 2.0, 4.0, 6.0]
+    for method in ("maxcgf", "pca"):
+        config = replace(_sweep_config(), method=method)
+        with pytest.warns(UserWarning, match="failed"):
+            curve = roc_sweep(dataset, method, grid, config)
 
-    from dataclasses import replace
+        expected_points, expected_failures = [], []
+        for beta in grid:
+            try:
+                report = detect(dataset.data, replace(config, beta=beta))
+            except DetectionError as err:
+                expected_failures.append((beta, str(err)))
+                continue
+            tpr, fpr = confusion_rates(report.outlier_flags, dataset.truth)
+            expected_points.append((beta, fpr, tpr))
+        assert curve.failures == tuple(expected_failures)
+        assert [f[0] for f in curve.failures] == [1e-9]
+        assert sorted((p.beta, p.fpr, p.tpr) for p in curve.points) == expected_points
+        assert [b for b, _ in curve.timings] == grid[1:]
 
-    report = detect(dataset.data, replace(config, beta=4.0))
-    tpr, fpr = confusion_rates(report.outlier_flags, dataset.truth)
-    assert len(curve.points) == 1
-    assert curve.points[0].beta == 4.0
-    assert curve.points[0].tpr == tpr
-    assert curve.points[0].fpr == fpr
-    assert len(curve.timings) == 1
-    assert curve.timings[0][0] == 4.0
-    assert curve.failures == ()
+
+def test_roc_sweep_fits_once_per_dataset(monkeypatch):
+    import cgf_outliers.detector as detector_module
+
+    real = detector_module.maximize_cgf
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(detector_module, "maximize_cgf", counted)
+    curve = roc_sweep(_planted_dataset(), "maxcgf", [2.0, 3.0, 4.0, 6.0], _sweep_config())
+    assert len(curve.points) == 4
+    assert len(calls) == 1
 
 
 def test_roc_sweep_records_failures_with_warning():
