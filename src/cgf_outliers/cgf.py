@@ -19,8 +19,9 @@ iteration applies the map
 
 The multistart advances all active starts together, in blocks of at most 256
 so the buffer stays 256 x T. Re-estimating one maximum on changed data (the
-refine) accelerates Phi by Anderson mixing (Walker & Ni, SIAM J. Numer. Anal.
-49(4), 2011), keeping a mixed candidate only if G does not drop. Both stop at
+refine) is a Riemannian BFGS ascent on the sphere with Armijo backtracking,
+each step capped at a few lengths of the Phi step, or at twice a previous
+step along which G was concave. Both stop at
 ||Phi(theta) - theta|| <= tolerance and return Phi(theta).
 
 The projection radius is chosen from the closed-form relative variance of the
@@ -59,8 +60,8 @@ UnitDirection = np.ndarray
 
 _ASCENT_SLACK = 1e-12
 _BLOCK = 256  # starts per kernel call in the multistart
-_ANDERSON_DEPTH = 5  # residual differences kept by the refine
-_RIDGE = 1e-8  # Tikhonov weight of the mixing least squares, relative to its trace
+_STEP_CAP = 5.0  # refine step bound in Phi steps; larger bounds reach other maxima more often
+_ARMIJO = 1e-4  # sufficient-increase constant of the refine's backtracking
 
 
 class ConvergenceError(RuntimeError):
@@ -428,8 +429,7 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
 
     kept: list[int] = []
     for i in order:
-        theta_i = thetas[i]
-        if all(abs(float(theta_i @ thetas[k])) <= config.dedup_cos for k in kept):
+        if not kept or np.abs(thetas[kept] @ thetas[i]).max() <= config.dedup_cos:
             kept.append(int(i))
 
     return MaximizerResult(
@@ -450,68 +450,86 @@ def refine_direction(
 ) -> tuple[np.ndarray, int, bool]:
     """Single warm-started ascent run used to track a maximum on shrinking data.
 
-    Anderson-accelerated iteration of the multistart's map Phi (module
-    docstring). A candidate that lowers G by more than the ascent slack is
-    dropped for the plain Phi step and the mixing history is cleared. Stops
-    when ||Phi(theta) - theta|| <= tolerance and returns Phi(theta).
+    Riemannian BFGS ascent of G on the unit sphere (Absil, Mahony & Sepulchre,
+    Optimization Algorithms on Matrix Manifolds, 2008, ch. 4 and 8; Huang,
+    Gallivan & Absil, SIAM J. Optim. 25(3), 2015). Each trial point costs one
+    kernel call, which gives G, the Riemannian gradient r(mu - (theta . mu)
+    theta) of the weighted row mean mu, and Phi (module docstring). The step
+    d = H grad, projected onto the tangent space, starts from H = I/r, the
+    fixed step's scale. Its length is capped at _STEP_CAP * ||Phi(theta) -
+    theta||, or at twice the previous step if G was concave along that one:
+    the cap keeps most runs at the maximum the plain map reaches, and the
+    doubling lets a run cross a flat maximum, where the Phi step is tiny, in
+    few steps. The step is halved along the retraction normalize(theta + t d)
+    until G rises by the Armijo margin. When d is no ascent direction, or
+    halving drives t ||d|| below the tolerance, H restarts at I/r; in the
+    second case the plain Phi step is taken. H takes the rank-2 BFGS update
+    from the step and gradient change projected onto the new tangent space,
+    skipped without positive curvature. Stops when ||Phi(theta) - theta|| <=
+    tolerance and returns Phi(theta).
 
-    Returns (direction, Phi evaluations used, converged); rejected candidates
-    count as evaluations. A run that exhausts max_iters keeps its last Phi
-    step: the caller is tracking a local maximum across small data changes,
-    where that is the best available estimate.
+    Returns (direction, kernel calls used, converged); backtracking trials
+    count as calls. A run that exhausts max_iters keeps the Phi step of its
+    last accepted point: the caller is tracking a local maximum across small
+    data changes, where that is the best available estimate.
     """
     X = np.asarray(values, dtype=float)
+    if not (r > 0):
+        raise ValueError("r must be positive")
     buf = np.empty((1, X.shape[0]))
 
-    def evaluate(th: np.ndarray) -> tuple[float, np.ndarray]:
-        m, wsum = _exp_shifted(X, r, th, buf)
-        return float(m[0] + np.log(wsum[0] / X.shape[0])), _fixed_step(th, (buf @ X) / wsum[0])
+    def evaluate(th: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        m, wsum = _exp_shifted(X, r, th[None, :], buf)
+        mu = (buf[0] @ X) / wsum[0]
+        g = float(m[0] + np.log(wsum[0] / X.shape[0]))
+        v = th + mu  # Phi(th) = v / ||v||, or th where v is exactly zero
+        norm = math.sqrt(v @ v)
+        return g, r * (mu - (th @ mu) * th), v / norm if norm > 0.0 else th
 
-    theta = unit_vector(theta)[None, :]
-    g, phi = evaluate(theta)
+    theta = unit_vector(theta)
+    g, grad, phi = evaluate(theta)
     used = 1
-    hist = np.empty((0, 2 * theta.shape[1]))  # last _ANDERSON_DEPTH + 1 rows [residual, Phi]
+    H = fresh = np.eye(theta.shape[0]) / r
+    radius = 0.0
     while True:
-        res = phi - theta
-        if np.linalg.norm(res) <= tolerance:
-            return phi[0], used, True
+        step = float(np.linalg.norm(phi - theta))
+        if step <= tolerance:
+            return phi, used, True
         if used >= max_iters:
-            return phi[0], used, False
-        hist = np.vstack([hist[-_ANDERSON_DEPTH:], np.hstack([res, phi])])
+            return phi, used, False
 
-        cand = _anderson_mix(hist)
-        if cand is not None:
-            g_cand, phi_cand = evaluate(cand)
+        d = H @ grad
+        d -= (theta @ d) * theta
+        slope = float(grad @ d)
+        if not slope > 0.0:
+            H = fresh
+            d = grad / r
+            slope = float(grad @ d)
+        d_norm = float(np.linalg.norm(d))
+        t = min(1.0, max(_STEP_CAP * step, radius) / d_norm)
+        while t * d_norm >= tolerance:
+            trial = theta + t * d
+            trial /= np.linalg.norm(trial)
+            g_new, grad_new, phi_new = evaluate(trial)
             used += 1
-            if g_cand >= g - _ASCENT_SLACK * max(1.0, abs(g)):
-                theta, g, phi = cand, g_cand, phi_cand
-                continue
+            if g_new >= g + _ARMIJO * t * slope:
+                break
             if used >= max_iters:
-                return phi[0], used, False
-            hist = hist[-1:]
-        theta = phi
-        g, phi = evaluate(theta)
-        used += 1
+                return phi, used, False
+            t *= 0.5
+        else:  # no step above the tolerance ascends: the plain map, curvature dropped
+            theta, H, radius = phi, fresh, 0.0
+            g, grad, phi = evaluate(theta)
+            used += 1
+            continue
 
-
-def _anderson_mix(hist: np.ndarray) -> np.ndarray | None:
-    """Normalized Anderson candidate from rows [residual, Phi], newest last; or None.
-
-    The weights fit the newest residual by the residual differences in least
-    squares with a small ridge (regularized nonlinear acceleration, Scieur,
-    d'Aspremont & Bach, NeurIPS 2016), which bounds how far round-off in
-    nearly parallel differences can move them.
-    """
-    n = hist.shape[1] // 2
-    diffs = hist[1:] - hist[:-1]
-    gram = diffs[:, :n] @ diffs[:, :n].T
-    scale = float(np.trace(gram))
-    if not (scale > 0.0 and np.isfinite(scale)):  # a single row, or no movement
-        return None
-    gram.flat[:: len(gram) + 1] += _RIDGE * scale
-    gamma = np.linalg.solve(gram, diffs[:, :n] @ hist[-1, :n])
-    cand = hist[-1, n:] - gamma @ diffs[:, n:]
-    norm = float(np.linalg.norm(cand))
-    if not (norm > 0.0 and np.isfinite(norm)):
-        return None
-    return (cand / norm)[None, :]
+        s = (trial @ theta) * trial - theta  # trial - theta, projected at trial
+        y = grad - (trial @ grad) * trial - grad_new  # gradient change of -G
+        sy = float(s @ y)
+        radius = 0.0
+        if sy > 0.0:  # G is concave along the step: the next one may be twice as long
+            radius = 2.0 * t * d_norm
+            Hy = H @ y
+            half = np.outer(s, (0.5 * (1.0 + (y @ Hy) / sy) * s - Hy) / sy)
+            H = H + half + half.T  # the inverse BFGS update, symmetric rank 2
+        theta, g, grad, phi = trial, g_new, grad_new, phi_new

@@ -303,7 +303,7 @@ def test_unit_vector():
 
 
 def _skewed_data(seed: int, T: int = 400) -> DataMatrix:
-    # independent exponential columns of unequal scale: one CGF maximum per half-sphere
+    # independent exponential columns of unequal scale: skewed, with several CGF maxima
     rng = np.random.default_rng(seed)
     return center(DataMatrix(rng.exponential(size=(T, 3)) * np.array([1.5, 1.0, 0.6])))
 
@@ -354,6 +354,43 @@ def test_refine_reaches_the_fixed_step_maximum():
         plain, _, plain_converged, _, _ = _ascend(data.values, 1.2, start, 1e-7, 10_000)
         assert converged and plain_converged[0]
         assert abs(float(theta @ plain[0])) >= 1 - 1e-9
+
+        # tracking: warm starts at the maxima of 8 starts, after dropping random rows
+        maxima = _ascend(data.values, 1.2, sample_unit_sphere(3, 8, seed=100 + seed),
+                         1e-7, 10_000)[0]
+        rng = np.random.default_rng(300 + seed)
+        for theta0 in maxima:
+            for frac in (0.01, 0.03, 0.1):
+                shrunk = data.values[rng.random(data.n_obs) >= frac]
+                theta, _, converged = refine_direction(shrunk, 1.2, theta0)
+                plain, _, plain_converged, _, _ = _ascend(shrunk, 1.2, theta0[None, :],
+                                                          1e-7, 10_000)
+                assert converged and plain_converged[0]
+                assert abs(float(theta @ plain[0])) >= 1 - 1e-9
+
+
+def test_refine_is_equivariant_under_row_permutation_and_rotation():
+    for seed in range(5):
+        data = _skewed_data(seed).values
+        rng = np.random.default_rng(200 + seed)
+        start = sample_unit_sphere(3, 1, seed=200 + seed)[0]
+        theta, used, converged = refine_direction(data, 1.2, start)
+        assert converged
+
+        permuted, used_p, _ = refine_direction(data[rng.permutation(len(data))], 1.2, start)
+        assert used_p == used
+        assert np.abs(permuted - theta).max() <= 1e-12
+
+        rotation, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rotated, used_r, _ = refine_direction(data @ rotation, 1.2, rotation.T @ start)
+        assert used_r == used
+        assert np.abs(rotation @ rotated - theta).max() <= 1e-12
+
+
+def test_refine_rejects_a_nonpositive_radius():
+    for r in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            refine_direction(TWO_POINT.values, r, E1)
 
 
 def test_refine_counts_every_kernel_call(monkeypatch):

@@ -4,10 +4,13 @@ import datetime
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cgf_outliers
 from cgf_outliers import (
     DataMatrix,
     PriceTable,
@@ -397,6 +400,16 @@ def test_cli_detection_failure_exits_one(tmp_path, capsys):
 def test_cli_version_exits_zero(capsys):
     assert run_cli(["--version"]) == 0
     assert "cgf-outliers" in capsys.readouterr().out
+
+
+def test_cli_runs_as_a_module():
+    package_root = os.path.dirname(os.path.dirname(cgf_outliers.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    done = subprocess.run([sys.executable, "-m", "cgf_outliers", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.startswith("usage: cgf-outliers")
 
 
 def _write_price_fixture(path, seed=5, pre=50, post=20, n=2):
