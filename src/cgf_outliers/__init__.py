@@ -11,14 +11,18 @@ the distributions module regenerates the synthetic experiment families
 
 __version__ = "0.1.0"
 
-from . import cgf, cli, detector, distributions, evaluation, io, linalg_stats
+import importlib
+
+from . import cgf, detector, distributions, evaluation, io, linalg_stats
 from .linalg_stats import *  # noqa: F401,F403
 from .cgf import *  # noqa: F401,F403
 from .distributions import *  # noqa: F401,F403
 from .detector import *  # noqa: F401,F403
 from .evaluation import *  # noqa: F401,F403
 from .io import *  # noqa: F401,F403
-from .cli import *  # noqa: F401,F403
+
+# cli loads on first use, so `python3 -m cgf_outliers.cli` runs it unimported
+_CLI_NAMES = ("main", "run_cli")
 
 __all__ = [
     "__version__",
@@ -28,5 +32,12 @@ __all__ = [
     *detector.__all__,
     *evaluation.__all__,
     *io.__all__,
-    *cli.__all__,
+    *_CLI_NAMES,
 ]
+
+
+def __getattr__(name):
+    if name != "cli" and name not in _CLI_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    cli = importlib.import_module(".cli", __name__)
+    return cli if name == "cli" else getattr(cli, name)

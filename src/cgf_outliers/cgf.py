@@ -18,11 +18,15 @@ iteration applies the map
     Phi(theta) = normalize(theta + weighted_row_mean(theta)).
 
 The multistart advances all active starts together, in blocks of at most 256
-so the buffer stays 256 x T. Re-estimating one maximum on changed data (the
-refine) is a Riemannian BFGS ascent on the sphere with Armijo backtracking,
-each step capped at a few lengths of the Phi step, or at twice a previous
-step along which G was concave. Both stop at
-||Phi(theta) - theta|| <= tolerance and return Phi(theta).
+so the buffer stays 256 x T, and retires (merges) a start once it lies within
+signed cosine 1 - 1e-6 of a converged start or of an active start of lower
+index: from there both climb to the same maximum, which the dedup would keep
+once (the clustering multistart of Rinnooy Kan & Timmer, Math. Programming
+39, 1987). Re-estimating one maximum on changed data (the refine) is a
+Riemannian BFGS ascent on the sphere with Armijo backtracking, each step
+capped at a few lengths of the Phi step, or at twice a previous step along
+which G was concave. Both stop at ||Phi(theta) - theta|| <= tolerance and
+return Phi(theta).
 
 The projection radius is chosen from the closed-form relative variance of the
 CGF estimator, which depends on r only through a = r**2 * lambda1: the error
@@ -60,6 +64,7 @@ UnitDirection = np.ndarray
 
 _ASCENT_SLACK = 1e-12
 _BLOCK = 256  # starts per kernel call in the multistart
+_MERGE_COS = 1.0 - 1e-6  # signed cosine at which a multistart start has joined another's ascent
 _STEP_CAP = 5.0  # refine step bound in Phi steps; larger bounds reach other maxima more often
 _ARMIJO = 1e-4  # sufficient-increase constant of the refine's backtracking
 
@@ -128,11 +133,13 @@ class MaximizerResult:
     """Distinct local maxima found by the multistart, CGF-descending.
 
     directions[k] is a unit row vector, cgf_values[k] its sample CGF, and
-    iteration_counts[k] the updates its winning start used. total_iterations
-    sums updates over every start (kept or not); ascent_violations counts
-    iterations whose CGF decreased beyond slack (the fixed 1/r step does not
-    guarantee monotone ascent in theory, so violations are reported rather
-    than repaired).
+    iteration_counts[k] the updates its kept start used. total_iterations
+    sums updates over every start, kept, dropped by the dedup or merged;
+    ascent_violations counts iterations whose CGF decreased beyond slack (the
+    fixed 1/r step does not guarantee monotone ascent in theory, so
+    violations are reported rather than repaired). Of the n_starts starts,
+    starts_converged converged, starts_merged were retired on joining another
+    start's ascent (maximize_cgf), and the rest hit max_iters.
     """
 
     directions: np.ndarray
@@ -140,6 +147,8 @@ class MaximizerResult:
     iteration_counts: np.ndarray
     total_iterations: int = 0
     ascent_violations: int = 0
+    starts_converged: int = 0
+    starts_merged: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "directions", _readonly(self.directions))
@@ -336,18 +345,24 @@ def _ascend(
     starts: np.ndarray,
     tolerance: float,
     max_iters: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    merge_cos: float = _MERGE_COS,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Fixed-step projected ascent from each row of ``starts``.
 
-    Returns (final thetas, per-start update counts, converged mask, total
-    updates, ascent violations). Every iteration advances all active starts,
-    _BLOCK at a time; rows are arithmetically independent, so the batch
-    evaluates as a per-start loop would.
+    Returns (final thetas, per-start update counts, converged mask, merged
+    mask, total updates, ascent violations). Every iteration advances all
+    active starts, _BLOCK at a time; rows are arithmetically independent, so
+    a start that is never merged evaluates as it would alone. After each
+    iteration an active start is merged (retired, neither converged nor
+    active) when its signed cosine with a converged start, or with an active
+    start of lower index, is at least ``merge_cos``: it has joined that
+    start's ascent. Total updates include those of merged starts.
     """
     thetas = np.array(starts, dtype=float)
     n_starts = thetas.shape[0]
     iters = np.zeros(n_starts, dtype=int)
     converged = np.zeros(n_starts, dtype=bool)
+    merged = np.zeros(n_starts, dtype=bool)
     active = np.ones(n_starts, dtype=bool)
     last_g = np.full(n_starts, np.nan)
     violations = 0
@@ -378,6 +393,16 @@ def _ascend(
             converged[idx[done]] = True
             active[idx[done]] = False
 
+        live = np.flatnonzero(active)
+        pool = np.flatnonzero(active | converged)
+        anchors, ahead = thetas[pool].T, converged[pool]
+        for lo in range(0, live.size, _BLOCK):
+            idx = live[lo : lo + _BLOCK]
+            near = (thetas[idx] @ anchors >= merge_cos) & (ahead | (pool < idx[:, None]))
+            joined = idx[near.any(axis=1)]
+            merged[joined] = True
+            active[joined] = False
+
     # close the ascent check on the accepted iterates
     idx = np.flatnonzero(~np.isnan(last_g))
     if idx.size:
@@ -385,38 +410,41 @@ def _ascend(
         slack = _ASCENT_SLACK * np.maximum(1.0, np.abs(last_g[idx]))
         violations += int(np.sum(g_final < last_g[idx] - slack))
 
-    return thetas, iters, converged, int(iters.sum()), violations
+    return thetas, iters, converged, merged, int(iters.sum()), violations
 
 
 def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> MaximizerResult:
     """Multistart projected ascent of the sample CGF over the unit sphere.
 
     Starts are drawn from ``config.seed``; each follows the fixed-step update
-    until it moves less than ``config.tolerance`` or hits ``max_iters``.
-    Converged points are ranked by CGF value and near-duplicates (|cosine|
-    above ``dedup_cos`` with an already-kept, higher-valued direction) are
+    until it moves less than ``config.tolerance`` or hits ``max_iters``, or
+    until it merges: within signed cosine max(dedup_cos, 1 - 1e-6) of a
+    converged start or an active start of lower index, it stops and counts as
+    neither converged nor a candidate, though its updates count in
+    total_iterations. The signed test keeps +-theta (different CGF values)
+    apart, and no merge joins directions the dedup would keep. Converged
+    points are ranked by CGF value and near-duplicates (|cosine| above
+    ``dedup_cos`` with an already-kept, higher-valued direction) are
     discarded; most starts land on the same handful of maxima, and for
     symmetric data the +-theta pair collapses to one representative.
 
-    Raises ConvergenceError (with partial results attached) only when no
-    start converges at all.
+    Raises ConvergenceError (with partial results for all n_starts starts
+    attached) only when no start converges at all.
     """
     X = data.values if isinstance(data, DataMatrix) else np.asarray(data, dtype=float)
     if not (r > 0):
         raise ValueError("r must be positive")
     starts = sample_unit_sphere(X.shape[1], config.n_starts, config.seed)
-    thetas, iters, converged, total, violations = _ascend(
-        X, r, starts, config.tolerance, config.max_iters
+    thetas, iters, converged, merged, total, violations = _ascend(
+        X, r, starts, config.tolerance, config.max_iters, max(config.dedup_cos, _MERGE_COS)
     )
+    counts = dict(total_iterations=total, ascent_violations=violations,
+                  starts_converged=int(converged.sum()), starts_merged=int(merged.sum()))
 
     if not converged.any():
         values = _batch_cgf(X, r, thetas)
         partial = MaximizerResult(
-            directions=thetas,
-            cgf_values=values,
-            iteration_counts=iters,
-            total_iterations=total,
-            ascent_violations=violations,
+            directions=thetas, cgf_values=values, iteration_counts=iters, **counts
         )
         raise ConvergenceError(
             f"no start converged within {config.max_iters} iterations", partial
@@ -436,8 +464,7 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
         directions=thetas[kept],
         cgf_values=np.array([value_of[k] for k in kept]),
         iteration_counts=iters[kept],
-        total_iterations=total,
-        ascent_violations=violations,
+        **counts,
     )
 
 

@@ -232,20 +232,28 @@ def test_maximize_is_deterministic():
 
 
 def test_batched_ascent_matches_per_start_runs():
-    # each start's trajectory is independent of the rest of the batch: running
-    # starts together or alone lands on the same fixed point (the arithmetic
-    # is not bitwise identical, BLAS kernels differ by shape, so compare to
-    # the convergence tolerance)
+    # each start's trajectory is independent of the rest of the batch: a start
+    # that is not merged lands where it lands alone (the arithmetic is not
+    # bitwise identical, BLAS kernels differ by shape, so compare to the
+    # convergence tolerance); a start run alone can never merge, and a merged
+    # start's solo run must end on a maximum that the batch reached. At a
+    # 1e-7 step tolerance two runs on one maximum of this sample stop up to
+    # 2.1e-6 apart (slow contraction), so the tolerance is 1e-9
     rng = np.random.default_rng(21)
     X = rng.normal(size=(40, 3))
     X = X - X.mean(axis=0)
-    starts = sample_unit_sphere(3, 5, seed=21)
-    thetas, iters, converged, _, _ = _ascend(X, 1.0, starts, 1e-7, 10_000)
-    for k in range(5):
-        tk, ik, ck, _, _ = _ascend(X, 1.0, starts[k : k + 1], 1e-7, 10_000)
-        assert converged[k] == ck[0]
-        assert np.linalg.norm(thetas[k] - tk[0]) < 1e-6
-        assert abs(iters[k] - ik[0]) <= 2
+    starts = sample_unit_sphere(3, 12, seed=21)
+    thetas, iters, converged, merged, _, _ = _ascend(X, 1.0, starts, 1e-9, 10_000)
+    assert merged.sum() >= 6 and not (converged & merged).any()
+    for k in range(12):
+        tk, ik, ck, mk, _, _ = _ascend(X, 1.0, starts[k : k + 1], 1e-9, 10_000)
+        assert ck[0] and not mk[0]
+        if merged[k]:
+            assert np.linalg.norm(thetas[converged] - tk[0], axis=1).min() < 1e-6
+        else:
+            assert converged[k] == ck[0]
+            assert np.linalg.norm(thetas[k] - tk[0]) < 1e-6
+            assert abs(iters[k] - ik[0]) <= 2
 
 
 def test_converged_points_satisfy_first_order_condition():
@@ -267,7 +275,8 @@ def test_maximize_raises_when_nothing_converges():
         maximize_cgf(data, 1.0, config)
     partial = exc_info.value.partial
     assert partial is not None
-    assert len(partial.directions) == 5
+    assert len(partial.directions) == len(partial.iteration_counts) == 5
+    assert partial.starts_converged == 0
 
 
 def test_refine_direction_warm_start():
@@ -328,6 +337,8 @@ def test_maximize_with_more_starts_than_a_block(monkeypatch):
     whole = maximize_cgf(data, 1.1, config)
     assert len(whole) == len(blocked)
     assert whole.total_iterations == blocked.total_iterations
+    assert whole.starts_merged == blocked.starts_merged > 0
+    assert whole.starts_converged == blocked.starts_converged
     np.testing.assert_allclose(blocked.directions, whole.directions, rtol=0, atol=1e-12)
     np.testing.assert_allclose(blocked.cgf_values, whole.cgf_values, rtol=0, atol=1e-12)
 
@@ -351,20 +362,20 @@ def test_refine_reaches_the_fixed_step_maximum():
         data = _skewed_data(seed)
         start = sample_unit_sphere(3, 1, seed=100 + seed)
         theta, _, converged = refine_direction(data.values, 1.2, start[0])
-        plain, _, plain_converged, _, _ = _ascend(data.values, 1.2, start, 1e-7, 10_000)
+        plain, _, plain_converged, _, _, _ = _ascend(data.values, 1.2, start, 1e-7, 10_000)
         assert converged and plain_converged[0]
         assert abs(float(theta @ plain[0])) >= 1 - 1e-9
 
-        # tracking: warm starts at the maxima of 8 starts, after dropping random rows
-        maxima = _ascend(data.values, 1.2, sample_unit_sphere(3, 8, seed=100 + seed),
-                         1e-7, 10_000)[0]
+        # tracking: warm starts at the maxima of 8 solo starts, after dropping random rows
+        maxima = [_ascend(data.values, 1.2, s[None, :], 1e-7, 10_000)[0][0]
+                  for s in sample_unit_sphere(3, 8, seed=100 + seed)]
         rng = np.random.default_rng(300 + seed)
         for theta0 in maxima:
             for frac in (0.01, 0.03, 0.1):
                 shrunk = data.values[rng.random(data.n_obs) >= frac]
                 theta, _, converged = refine_direction(shrunk, 1.2, theta0)
-                plain, _, plain_converged, _, _ = _ascend(shrunk, 1.2, theta0[None, :],
-                                                          1e-7, 10_000)
+                plain, _, plain_converged, _, _, _ = _ascend(shrunk, 1.2, theta0[None, :],
+                                                             1e-7, 10_000)
                 assert converged and plain_converged[0]
                 assert abs(float(theta @ plain[0])) >= 1 - 1e-9
 
@@ -410,3 +421,67 @@ def test_refine_counts_every_kernel_call(monkeypatch):
         calls.clear()
         _, used, _ = refine_direction(data.values, 1.5, np.ones(3), max_iters=3)
         assert used == len(calls) <= 3
+
+
+def _solo_maxima(data: DataMatrix, r: float, config: MultistartConfig):
+    # maximize_cgf without merging: each start ascends alone, then the same dedup
+    X = data.values
+    runs = [_ascend(X, r, s[None, :], config.tolerance, config.max_iters)
+            for s in sample_unit_sphere(X.shape[1], config.n_starts, config.seed)]
+    ends = np.array([run[0][0] for run in runs if run[2][0]])
+    values = _batch_cgf(X, r, ends)
+    kept: list[int] = []
+    for i in np.argsort(-values, kind="stable"):
+        if not kept or np.abs(ends[kept] @ ends[i]).max() <= config.dedup_cos:
+            kept.append(int(i))
+    return ends[kept], values[kept], sum(run[4] for run in runs)
+
+
+def test_merged_multistart_matches_solo_runs():
+    rng = np.random.default_rng(41)
+    datasets = [(_skewed_data(seed), 1.2) for seed in range(5)]
+    datasets.append((center(DataMatrix(rng.normal(size=(300, 4)))), 1.0))
+    datasets.append((center(DataMatrix(rng.standard_t(5, size=(300, 4)))), 0.8))
+    config = MultistartConfig(n_starts=60, seed=41)
+    for data, r in datasets:
+        directions, values, solo_total = _solo_maxima(data, r, config)
+        result = maximize_cgf(data, r, config)
+        assert result.starts_merged > 0
+        assert result.total_iterations < solo_total
+        assert len(result) == len(directions)
+        np.testing.assert_allclose(result.directions, directions, rtol=0, atol=1e-5)
+        np.testing.assert_allclose(result.cgf_values, values, rtol=0, atol=1e-10)
+
+
+def test_start_counts_partition_the_starts():
+    rng = np.random.default_rng(43)
+    data = center(DataMatrix(rng.normal(size=(120, 4)) * np.array([1.5, 1.0, 1.0, 0.7])))
+    for max_iters in (25, 10_000):
+        config = MultistartConfig(n_starts=80, seed=43, max_iters=max_iters)
+        result = maximize_cgf(data, 1.1, config)
+        starts = sample_unit_sphere(4, config.n_starts, config.seed)
+        _, iters, converged, merged, total, _ = _ascend(
+            data.values, 1.1, starts, config.tolerance, max_iters
+        )
+        unconverged = ~converged & ~merged
+        assert np.all(iters[unconverged] == max_iters)
+        assert result.starts_converged == converged.sum() >= len(result)
+        assert result.starts_merged == merged.sum() > 0
+        assert result.starts_converged + result.starts_merged + unconverged.sum() == 80
+        assert result.total_iterations == total
+
+
+def test_only_same_sign_starts_merge():
+    # +-theta are different directions to the dedup (their CGF values differ in
+    # general), so a start closing in on -x_hat must not merge into x_hat
+    data = np.array([[2.0, 1.0], [-2.0, -1.0]])
+    x_hat = unit_vector(data[0])
+    turn = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+    for sign in (1.0, -1.0):
+        starts = np.array([x_hat, sign * (turn @ x_hat)])
+        thetas, _, converged, merged, _, _ = _ascend(data, 1.5, starts, 1e-7, 10_000)
+        assert converged[0]
+        assert merged[1] == (sign > 0)
+        assert converged[1] == (sign < 0)
+        if sign < 0:
+            assert float(thetas[1] @ x_hat) < -1 + 1e-12

@@ -119,15 +119,17 @@ def test_detect_is_deterministic():
 
 
 def test_location_shift_leaves_flags_unchanged():
-    spec = SimulationSpec(family="std_normal", n=6, T=80, seed=4)
-    ds = inject_outliers(spec)
-    cfg = DetectorConfig(beta=2.5, multistart=MultistartConfig(n_starts=40, seed=4))
-    base = detect(ds.data, cfg)
+    # centering absorbs the shift up to summation round-off; the multistart
+    # keeps one start per maximum by index, not the best of a near-tie on G
+    # that round-off decides, so the q-scores agree for every seed
     shift = np.array([5.0, -3.0, 2.0, 0.0, 1.0, 9.0])
-    moved = detect(DataMatrix(ds.data.values + shift), cfg)
-    assert np.array_equal(base.outlier_flags, moved.outlier_flags)
-    # centering absorbs the shift up to summation round-off
-    assert np.nanmax(np.abs(base.q_scores - moved.q_scores)) < 1e-12
+    for seed in range(40):
+        ds = inject_outliers(SimulationSpec(family="std_normal", n=6, T=80, seed=seed))
+        cfg = DetectorConfig(beta=2.5, multistart=MultistartConfig(n_starts=40, seed=seed))
+        base = detect(ds.data, cfg)
+        moved = detect(DataMatrix(ds.data.values + shift), cfg)
+        assert np.array_equal(base.outlier_flags, moved.outlier_flags), seed
+        assert np.nanmax(np.abs(base.q_scores - moved.q_scores)) < 1e-12, seed
 
 
 def test_global_scale_equivariance():

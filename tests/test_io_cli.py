@@ -405,11 +405,15 @@ def test_cli_version_exits_zero(capsys):
 def test_cli_runs_as_a_module():
     package_root = os.path.dirname(os.path.dirname(cgf_outliers.__file__))
     env = {**os.environ, "PYTHONPATH": package_root}
-    done = subprocess.run([sys.executable, "-m", "cgf_outliers", "--help"], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert done.returncode == 0
-    assert done.stderr == ""
-    assert done.stdout.startswith("usage: cgf-outliers")
+    for module in ("cgf_outliers", "cgf_outliers.cli"):
+        done = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, module
+        assert done.stderr == "", module
+        assert done.stdout.startswith("usage: cgf-outliers"), module
+    from cgf_outliers import main, run_cli
+
+    assert main is cgf_outliers.cli.main and run_cli is cgf_outliers.cli.run_cli
 
 
 def _write_price_fixture(path, seed=5, pre=50, post=20, n=2):
