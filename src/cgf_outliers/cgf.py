@@ -346,17 +346,18 @@ def _ascend(
     tolerance: float,
     max_iters: int,
     merge_cos: float = _MERGE_COS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Fixed-step projected ascent from each row of ``starts``.
 
-    Returns (final thetas, per-start update counts, converged mask, merged
-    mask, total updates, ascent violations). Every iteration advances all
-    active starts, _BLOCK at a time; rows are arithmetically independent, so
-    a start that is never merged evaluates as it would alone. After each
-    iteration an active start is merged (retired, neither converged nor
-    active) when its signed cosine with a converged start, or with an active
-    start of lower index, is at least ``merge_cos``: it has joined that
-    start's ascent. Total updates include those of merged starts.
+    Returns (final thetas, G at each final theta, per-start update counts,
+    converged mask, merged mask, total updates, ascent violations). Every
+    iteration advances all active starts, _BLOCK at a time; rows are
+    arithmetically independent, so a start that is never merged evaluates as
+    it would alone. After each iteration an active start is merged (retired,
+    neither converged nor active) when its signed cosine with a converged
+    start, or with an active start of lower index, is at least ``merge_cos``:
+    it has joined that start's ascent. Total updates include those of merged
+    starts.
     """
     thetas = np.array(starts, dtype=float)
     n_starts = thetas.shape[0]
@@ -403,14 +404,12 @@ def _ascend(
             merged[joined] = True
             active[joined] = False
 
-    # close the ascent check on the accepted iterates
-    idx = np.flatnonzero(~np.isnan(last_g))
-    if idx.size:
-        g_final = _batch_cgf(X, r, thetas[idx])
-        slack = _ASCENT_SLACK * np.maximum(1.0, np.abs(last_g[idx]))
-        violations += int(np.sum(g_final < last_g[idx] - slack))
+    # close the ascent check on every final point (a NaN last G, never updated, compares False)
+    g_final = _batch_cgf(X, r, thetas)
+    slack = _ASCENT_SLACK * np.maximum(1.0, np.abs(last_g))
+    violations += int(np.sum(g_final < last_g - slack))
 
-    return thetas, iters, converged, merged, int(iters.sum()), violations
+    return thetas, g_final, iters, converged, merged, int(iters.sum()), violations
 
 
 def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> MaximizerResult:
@@ -435,14 +434,13 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
     if not (r > 0):
         raise ValueError("r must be positive")
     starts = sample_unit_sphere(X.shape[1], config.n_starts, config.seed)
-    thetas, iters, converged, merged, total, violations = _ascend(
+    thetas, values, iters, converged, merged, total, violations = _ascend(
         X, r, starts, config.tolerance, config.max_iters, max(config.dedup_cos, _MERGE_COS)
     )
     counts = dict(total_iterations=total, ascent_violations=violations,
                   starts_converged=int(converged.sum()), starts_merged=int(merged.sum()))
 
     if not converged.any():
-        values = _batch_cgf(X, r, thetas)
         partial = MaximizerResult(
             directions=thetas, cgf_values=values, iteration_counts=iters, **counts
         )
@@ -451,9 +449,7 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
         )
 
     cand = np.flatnonzero(converged)
-    values = _batch_cgf(X, r, thetas[cand])
-    order = cand[np.argsort(-values, kind="stable")]
-    value_of = dict(zip(cand.tolist(), values.tolist()))
+    order = cand[np.argsort(-values[cand], kind="stable")]
 
     kept: list[int] = []
     for i in order:
@@ -462,7 +458,7 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
 
     return MaximizerResult(
         directions=thetas[kept],
-        cgf_values=np.array([value_of[k] for k in kept]),
+        cgf_values=values[kept],
         iteration_counts=iters[kept],
         **counts,
     )

@@ -9,17 +9,27 @@ CGF-descending order, observations are scored by
 
     q_t = |z_t - median(Z)| / MAD(Z)
 
-on the projection Z and removed while they exceed the threshold beta; after
-each removal the direction is re-estimated on the surviving rows and the loop
-continues only while the projection's kurtosis strictly decreases. Removals
-accumulate across directions, and every removed row is reported as an outlier
-of the original matrix. `detect` is `remove(fit(data, config), config.beta)`;
-a beta sweep fits once and removes once per beta.
+on the projection Z and removed while they exceed the threshold beta. A
+direction along which the m surviving rows project with a Gaussian-looking
+kurtosis, at most 3 + 3 * sqrt(24 / m) (the normal value plus three standard
+errors), is skipped: it would only strip the normal tail beyond beta MADs.
+After each pass the direction is re-estimated on the surviving rows, and the
+loop continues only while the projection's kurtosis strictly decreases; a
+pass after the first that removes nothing ends the direction, since the data
+it would re-estimate on are unchanged. Removals accumulate across directions,
+and every removed row is reported as an outlier of the original matrix.
+`detect` is `remove(fit(data, config), config.beta)`; a beta sweep fits once
+and removes once per beta.
+
+The CGF ascent runs on the centered data divided by sqrt(lambda1), at radius
+r * sqrt(lambda1): G and the q-scores are unchanged, and the ascent's path no
+longer depends on the scale of the data.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -56,6 +66,8 @@ __all__ = [
     "detect",
 ]
 
+_GATE_SE = 3.0  # standard errors of the normal kurtosis above 3 a direction must reach
+
 
 class DegenerateProjectionError(ValueError):
     """A projection with MAD = 0 carries no outlyingness information."""
@@ -89,7 +101,14 @@ class DetectorConfig:
 
 @dataclass(eq=False)
 class DirectionTrace:
-    """What happened along one candidate direction."""
+    """What happened along one candidate direction.
+
+    kurtosis_trace starts with the projection's kurtosis on the rows alive when
+    the direction is reached and gains one entry per re-estimate. skipped means
+    no row was removed along it; note says why the direction ended early, e.g.
+    "Gaussian projection" when that first kurtosis failed the gate, in which
+    case the direction was neither scored nor re-estimated.
+    """
 
     initial_direction: np.ndarray
     final_direction: np.ndarray
@@ -191,7 +210,8 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
         )
     iterations = 0
     if config.method is DetectionMethod.MAX_CGF:
-        result = maximize_cgf(centered, r, ms)
+        scale = math.sqrt(lambda1)  # the ascent sees unit-lambda1 data at radius r * scale
+        result = maximize_cgf(centered.values / scale, r * scale, ms)
         candidates = tuple(
             (result.directions[k], float(result.cgf_values[k])) for k in range(len(result))
         )
@@ -202,7 +222,7 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
             )
 
         def reestimate(Y, theta):
-            return refine_direction(Y, r, theta, ms.tolerance, ms.max_iters)
+            return refine_direction(Y / scale, r * scale, theta, ms.tolerance, ms.max_iters)
 
     else:
         candidates = ((_readonly(_fix_sign(cov.pc1)), None),)
@@ -251,6 +271,10 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
             warnings.append(f"direction {len(traces)} skipped: constant projection")
             continue
         trace.kurtosis_trace.append(kur_prev)
+        if kur_prev <= 3.0 + _GATE_SE * math.sqrt(24.0 / alive.size):
+            trace.skipped = True
+            trace.note = "Gaussian projection"
+            continue
 
         while True:  # enters at least once (the i = 0 pass)
             try:
@@ -273,6 +297,8 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
                 keep = ~out
                 Y = Y[keep]
                 alive = alive[keep]
+            elif len(trace.kurtosis_trace) > 1:
+                break  # an empty pass after the first: nothing changed to re-estimate on
 
             step = fitted.reestimate(Y, theta)
             if step is None:

@@ -243,10 +243,10 @@ def test_batched_ascent_matches_per_start_runs():
     X = rng.normal(size=(40, 3))
     X = X - X.mean(axis=0)
     starts = sample_unit_sphere(3, 12, seed=21)
-    thetas, iters, converged, merged, _, _ = _ascend(X, 1.0, starts, 1e-9, 10_000)
+    thetas, _, iters, converged, merged, _, _ = _ascend(X, 1.0, starts, 1e-9, 10_000)
     assert merged.sum() >= 6 and not (converged & merged).any()
     for k in range(12):
-        tk, ik, ck, mk, _, _ = _ascend(X, 1.0, starts[k : k + 1], 1e-9, 10_000)
+        tk, _, ik, ck, mk, _, _ = _ascend(X, 1.0, starts[k : k + 1], 1e-9, 10_000)
         assert ck[0] and not mk[0]
         if merged[k]:
             assert np.linalg.norm(thetas[converged] - tk[0], axis=1).min() < 1e-6
@@ -362,7 +362,7 @@ def test_refine_reaches_the_fixed_step_maximum():
         data = _skewed_data(seed)
         start = sample_unit_sphere(3, 1, seed=100 + seed)
         theta, _, converged = refine_direction(data.values, 1.2, start[0])
-        plain, _, plain_converged, _, _, _ = _ascend(data.values, 1.2, start, 1e-7, 10_000)
+        plain, _, _, plain_converged, _, _, _ = _ascend(data.values, 1.2, start, 1e-7, 10_000)
         assert converged and plain_converged[0]
         assert abs(float(theta @ plain[0])) >= 1 - 1e-9
 
@@ -374,8 +374,8 @@ def test_refine_reaches_the_fixed_step_maximum():
             for frac in (0.01, 0.03, 0.1):
                 shrunk = data.values[rng.random(data.n_obs) >= frac]
                 theta, _, converged = refine_direction(shrunk, 1.2, theta0)
-                plain, _, plain_converged, _, _, _ = _ascend(shrunk, 1.2, theta0[None, :],
-                                                             1e-7, 10_000)
+                plain, _, _, plain_converged, _, _, _ = _ascend(shrunk, 1.2, theta0[None, :],
+                                                                1e-7, 10_000)
                 assert converged and plain_converged[0]
                 assert abs(float(theta @ plain[0])) >= 1 - 1e-9
 
@@ -428,13 +428,13 @@ def _solo_maxima(data: DataMatrix, r: float, config: MultistartConfig):
     X = data.values
     runs = [_ascend(X, r, s[None, :], config.tolerance, config.max_iters)
             for s in sample_unit_sphere(X.shape[1], config.n_starts, config.seed)]
-    ends = np.array([run[0][0] for run in runs if run[2][0]])
+    ends = np.array([run[0][0] for run in runs if run[3][0]])
     values = _batch_cgf(X, r, ends)
     kept: list[int] = []
     for i in np.argsort(-values, kind="stable"):
         if not kept or np.abs(ends[kept] @ ends[i]).max() <= config.dedup_cos:
             kept.append(int(i))
-    return ends[kept], values[kept], sum(run[4] for run in runs)
+    return ends[kept], values[kept], sum(run[5] for run in runs)
 
 
 def test_merged_multistart_matches_solo_runs():
@@ -460,9 +460,10 @@ def test_start_counts_partition_the_starts():
         config = MultistartConfig(n_starts=80, seed=43, max_iters=max_iters)
         result = maximize_cgf(data, 1.1, config)
         starts = sample_unit_sphere(4, config.n_starts, config.seed)
-        _, iters, converged, merged, total, _ = _ascend(
+        thetas, values, iters, converged, merged, total, _ = _ascend(
             data.values, 1.1, starts, config.tolerance, max_iters
         )
+        np.testing.assert_array_equal(values, _batch_cgf(data.values, 1.1, thetas))
         unconverged = ~converged & ~merged
         assert np.all(iters[unconverged] == max_iters)
         assert result.starts_converged == converged.sum() >= len(result)
@@ -479,7 +480,7 @@ def test_only_same_sign_starts_merge():
     turn = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
     for sign in (1.0, -1.0):
         starts = np.array([x_hat, sign * (turn @ x_hat)])
-        thetas, _, converged, merged, _, _ = _ascend(data, 1.5, starts, 1e-7, 10_000)
+        thetas, _, _, converged, merged, _, _ = _ascend(data, 1.5, starts, 1e-7, 10_000)
         assert converged[0]
         assert merged[1] == (sign > 0)
         assert converged[1] == (sign < 0)
