@@ -137,9 +137,10 @@ class MaximizerResult:
     sums updates over every start, kept, dropped by the dedup or merged;
     ascent_violations counts iterations whose CGF decreased beyond slack (the
     fixed 1/r step does not guarantee monotone ascent in theory, so
-    violations are reported rather than repaired). Of the n_starts starts,
-    starts_converged converged, starts_merged were retired on joining another
-    start's ascent (maximize_cgf), and the rest hit max_iters.
+    violations are reported rather than repaired); the last step of a merged
+    or unconverged start is checked only when no start converged. Of the
+    n_starts starts, starts_converged converged, starts_merged were retired on
+    joining another start's ascent (maximize_cgf), and the rest hit max_iters.
     """
 
     directions: np.ndarray
@@ -350,7 +351,8 @@ def _ascend(
     """Fixed-step projected ascent from each row of ``starts``.
 
     Returns (final thetas, G at each final theta, per-start update counts,
-    converged mask, merged mask, total updates, ascent violations). Every
+    converged mask, merged mask, total updates, ascent violations). G is NaN
+    at the starts that did not converge, unless none did. Every
     iteration advances all active starts, _BLOCK at a time; rows are
     arithmetically independent, so a start that is never merged evaluates as
     it would alone. After each iteration an active start is merged (retired,
@@ -404,10 +406,12 @@ def _ascend(
             merged[joined] = True
             active[joined] = False
 
-    # close the ascent check on every final point (a NaN last G, never updated, compares False)
-    g_final = _batch_cgf(X, r, thetas)
+    # G at the candidates (every start when none converged), closing their ascent check
+    ends = converged if converged.any() else np.ones(n_starts, dtype=bool)
+    g_final = np.full(n_starts, np.nan)
+    g_final[ends] = _batch_cgf(X, r, thetas[ends])
     slack = _ASCENT_SLACK * np.maximum(1.0, np.abs(last_g))
-    violations += int(np.sum(g_final < last_g - slack))
+    violations += int(np.sum(g_final < last_g - slack))  # NaN on either side compares False
 
     return thetas, g_final, iters, converged, merged, int(iters.sum()), violations
 

@@ -14,10 +14,11 @@ direction along which the m surviving rows project with a Gaussian-looking
 kurtosis, at most 3 + 3 * sqrt(24 / m) (the normal value plus three standard
 errors), is skipped: it would only strip the normal tail beyond beta MADs.
 After each pass the direction is re-estimated on the surviving rows, and the
-loop continues only while the projection's kurtosis strictly decreases; a
-pass after the first that removes nothing ends the direction, since the data
-it would re-estimate on are unchanged. Removals accumulate across directions,
-and every removed row is reported as an outlier of the original matrix.
+loop continues only while the projection's kurtosis strictly decreases. A
+pass that removes nothing ends the direction, the first pass included, since
+the rows it would re-estimate on are unchanged. Removals accumulate across
+directions, and every removed row is reported as an outlier of the original
+matrix.
 `detect` is `remove(fit(data, config), config.beta)`; a beta sweep fits once
 and removes once per beta.
 
@@ -45,6 +46,7 @@ from .cgf import (
 from .linalg_stats import (
     DataMatrix,
     DegenerateInputError,
+    _covariance_eigh,
     _readonly,
     center,
     covariance_pca,
@@ -105,9 +107,10 @@ class DirectionTrace:
 
     kurtosis_trace starts with the projection's kurtosis on the rows alive when
     the direction is reached and gains one entry per re-estimate. skipped means
-    no row was removed along it; note says why the direction ended early, e.g.
-    "Gaussian projection" when that first kurtosis failed the gate, in which
-    case the direction was neither scored nor re-estimated.
+    no row was removed along it, and then it was never re-estimated; note says
+    why the direction ended early, e.g. "Gaussian projection" when that first
+    kurtosis failed the gate, so no row was scored, or "no score above beta"
+    when the first pass removed nothing.
     """
 
     initial_direction: np.ndarray
@@ -228,9 +231,10 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
         candidates = ((_readonly(_fix_sign(cov.pc1)), None),)
 
         def reestimate(Y, theta):
+            # covariance_pca's PC1 without its wrappers: Y are rows fit already validated
             if Y.shape[0] < 2:
                 return None
-            return _fix_sign(covariance_pca(DataMatrix(Y)).pc1), 1, True
+            return _fix_sign(_covariance_eigh(Y)[2][:, -1]), 1, True
 
     return FittedDetector(config, centered, r_sel, candidates, reestimate, iterations,
                           tuple(warnings))
@@ -291,14 +295,16 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
                 raise DetectionError(
                     "every remaining observation scored above beta; nothing would survive"
                 )
-            if bool(out.any()):
-                flags[alive[out]] = True
-                trace.removed += int(out.sum())
-                keep = ~out
-                Y = Y[keep]
-                alive = alive[keep]
-            elif len(trace.kurtosis_trace) > 1:
-                break  # an empty pass after the first: nothing changed to re-estimate on
+            if not bool(out.any()):  # nothing changed to re-estimate on
+                if not trace.removed:
+                    trace.skipped = True
+                    trace.note = "no score above beta"
+                break
+            flags[alive[out]] = True
+            trace.removed += int(out.sum())
+            keep = ~out
+            Y = Y[keep]
+            alive = alive[keep]
 
             step = fitted.reestimate(Y, theta)
             if step is None:

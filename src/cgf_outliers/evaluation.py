@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: a sweep keeps one point per dataset and beta
 class RocPoint:
     beta: float  # NaN for points not tied to a threshold
     fpr: float

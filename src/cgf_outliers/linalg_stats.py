@@ -128,12 +128,17 @@ def covariance_pca(data: DataMatrix) -> CovarianceSummary:
     """
     if data.n_obs < 2:
         raise ValueError("covariance needs at least 2 observations")
-    cov = np.cov(data.values, rowvar=False, ddof=1)
-    cov = np.atleast_2d(cov)
-    cov = 0.5 * (cov + cov.T)  # enforce exact symmetry before eigh
-    eigvals, eigvecs = np.linalg.eigh(cov)
+    cov, eigvals, eigvecs = _covariance_eigh(data.values)
     order = np.argsort(eigvals, kind="stable")[::-1]
     return CovarianceSummary(cov, eigvals[order], eigvecs[:, order])
+
+
+def _covariance_eigh(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # covariance_pca's arithmetic on raw rows; eigh returns ascending eigenvalues
+    cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
+    cov = 0.5 * (cov + cov.T)  # enforce exact symmetry before eigh
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    return cov, eigvals, eigvecs
 
 
 def _as_vector(z) -> np.ndarray:
@@ -152,9 +157,18 @@ def median_and_mad(z) -> tuple[float, float]:
     mad = 0 and the caller must handle that case.
     """
     arr = _as_vector(z)
-    med = float(np.median(arr))
-    mad = float(np.median(np.abs(arr - med)))
-    return med, mad
+    med = _median_inplace(arr.copy())
+    return med, _median_inplace(np.abs(arr - med))
+
+
+def _median_inplace(a: np.ndarray) -> float:
+    # np.median's arithmetic on one in-place partition of a scratch vector
+    h = a.size // 2
+    if a.size % 2:
+        a.partition(h)
+        return float(a[h])
+    a.partition((h - 1, h))
+    return float((a[h - 1] + a[h]) / 2.0)
 
 
 def kurtosis(z) -> float:
@@ -163,10 +177,11 @@ def kurtosis(z) -> float:
     if arr.size < 2:
         raise ValueError("kurtosis needs at least 2 observations")
     dev = arr - arr.mean()
-    m2 = float(np.mean(dev**2))
+    sq = dev * dev
+    m2 = float(np.mean(sq))
     if m2 == 0.0:
         raise DegenerateInputError("kurtosis undefined for zero-variance input")
-    m4 = float(np.mean(dev**4))
+    m4 = float(np.mean(sq * sq))
     return m4 / (m2 * m2)
 
 
@@ -175,7 +190,8 @@ def first_four_cumulants(z) -> tuple[float, float, float, float]:
     arr = _as_vector(z)
     k1 = float(arr.mean())
     dev = arr - k1
-    m2 = float(np.mean(dev**2))
-    m3 = float(np.mean(dev**3))
-    m4 = float(np.mean(dev**4))
+    sq = dev * dev
+    m2 = float(np.mean(sq))
+    m3 = float(np.mean(sq * dev))
+    m4 = float(np.mean(sq * sq))
     return k1, m2, m3, m4 - 3.0 * m2 * m2

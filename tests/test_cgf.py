@@ -277,6 +277,9 @@ def test_maximize_raises_when_nothing_converges():
     assert partial is not None
     assert len(partial.directions) == len(partial.iteration_counts) == 5
     assert partial.starts_converged == 0
+    # with no candidate, every start's value is evaluated
+    np.testing.assert_array_equal(partial.cgf_values,
+                                  _batch_cgf(data.values, 1.0, partial.directions))
 
 
 def test_refine_direction_warm_start():
@@ -463,7 +466,10 @@ def test_start_counts_partition_the_starts():
         thetas, values, iters, converged, merged, total, _ = _ascend(
             data.values, 1.1, starts, config.tolerance, max_iters
         )
-        np.testing.assert_array_equal(values, _batch_cgf(data.values, 1.1, thetas))
+        # G only at the converged starts, the candidates; NaN elsewhere
+        np.testing.assert_array_equal(values[converged],
+                                      _batch_cgf(data.values, 1.1, thetas[converged]))
+        assert np.isnan(values[~converged]).all()
         unconverged = ~converged & ~merged
         assert np.all(iters[unconverged] == max_iters)
         assert result.starts_converged == converged.sum() >= len(result)

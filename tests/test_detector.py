@@ -25,6 +25,7 @@ from cgf_outliers import (
     sample_normal,
     select_radius,
 )
+from cgf_outliers.detector import _fix_sign
 
 
 def test_q_scores_hand_values():
@@ -202,6 +203,42 @@ def test_pca_baseline_detects_planted_block():
     assert np.mean(hits) > 0.5
 
 
+def test_pca_reestimate_is_covariance_pca_pc1():
+    # the re-estimator skips covariance_pca's wrappers; its direction must be
+    # the same floats, on row subsets of every size down to 2 rows, and n = 1
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 5, 30):
+        data = rng.standard_t(5, size=(120, n)) @ rng.normal(size=(n, n))
+        fitted = fit(DataMatrix(data), DetectorConfig(beta=3.0, method="pca"))
+        theta = fitted.candidates[0][0]
+        for size in (2, 3, 17, 119, 120):
+            rows = np.sort(rng.choice(120, size=size, replace=False))
+            Y = fitted.centered.values[rows]
+            direction, used, converged = fitted.reestimate(Y, theta)
+            expected = _fix_sign(covariance_pca(DataMatrix(Y)).pc1)
+            assert np.array_equal(direction, expected), (n, size)
+            assert (used, converged) == (1, True)
+        assert fitted.reestimate(fitted.centered.values[:1], theta) is None
+
+
+def test_empty_first_pass_skips_the_direction():
+    # a beta no row reaches: every direction past the gate scores its rows,
+    # removes none and ends there, without a re-estimate
+    rng = np.random.default_rng(5)
+    returns = np.concatenate([rng.normal(0.0, 0.01, (200, 8)),
+                              rng.normal(0.0, 0.01 * np.sqrt(10.0), (40, 8))])
+    cfg = DetectorConfig(beta=1e6, multistart=MultistartConfig(n_starts=50, seed=5))
+    fitted, calls = _counting_reestimates(fit(DataMatrix(returns), cfg))
+    report = remove(fitted, cfg.beta)
+    assert calls == [] and report.n_flagged == 0
+    notes = [t.note for t in report.directions_used]
+    assert "no score above beta" in notes
+    assert set(notes) <= {"no score above beta", "Gaussian projection"}
+    for trace in report.directions_used:
+        assert trace.skipped and trace.removed == 0 and len(trace.kurtosis_trace) == 1
+        assert trace.final_direction is trace.initial_direction
+
+
 def test_flag_count_monotone_in_beta_on_average():
     # subset nesting can break under re-estimation; the count comparison is
     # the stable form of threshold monotonicity
@@ -257,18 +294,26 @@ def _counting_reestimates(fitted):
 def test_each_reestimate_after_the_first_follows_a_productive_pass():
     # the acceptance price fixture's returns: 200 calm days, then 40 at 10x
     # variance; a direction that re-estimated after passes that removed
-    # nothing crept here for thousands of passes
-    for seed in range(3):
+    # nothing crept here for thousands of passes, and at seed 2, beta 6 one
+    # direction's first pass removes nothing
+    for seed, beta in [(0, 4.0), (1, 4.0), (2, 4.0), (2, 6.0)]:
         rng = np.random.default_rng(seed)
         returns = np.concatenate([rng.normal(0.0, 0.01, (200, 8)),
                                   rng.normal(0.0, 0.01 * np.sqrt(10.0), (40, 8))])
-        cfg = DetectorConfig(beta=4.0, multistart=MultistartConfig(n_starts=50, seed=seed))
+        cfg = DetectorConfig(beta=beta, multistart=MultistartConfig(n_starts=50, seed=seed))
         fitted, calls = _counting_reestimates(fit(DataMatrix(returns), cfg))
-        remove(fitted, cfg.beta)
+        report = remove(fitted, cfg.beta)
         assert calls
-        for rows in calls:
-            productive = sum(b < a for a, b in zip(rows, rows[1:]))
-            assert len(rows) <= productive + 1, (seed, rows[:5])
+        # rows alive when each direction that re-estimated was reached
+        reached, alive = [], returns.shape[0]
+        for trace in report.directions_used:
+            if trace.removed:
+                reached.append(alive)
+            alive -= trace.removed
+        assert len(reached) == len(calls)
+        for before, rows in zip(reached, calls):
+            productive = sum(b < a for a, b in zip([before] + rows, rows))
+            assert len(rows) == productive, (seed, before, rows[:5])
 
 
 def test_gaussian_projection_is_skipped_without_scoring():

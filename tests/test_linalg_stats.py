@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cgf_outliers import (
     CovarianceSummary,
@@ -109,6 +111,43 @@ def test_median_even_length_mean_of_middle_two():
     med, mad = median_and_mad([1.0, 2.0, 3.0, 4.0])
     assert med == 2.5
     assert mad == 1.0  # deviations (1.5, .5, .5, 1.5) -> mean of .5 and 1.5
+
+
+_VALUES = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
+_TIED = st.sampled_from([-2.5, -1.0, 0.0, 0.0, 1.0, 3.0])  # few distinct values: many ties
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_VALUES, _TIED), min_size=1, max_size=60)
+       | st.lists(_TIED, min_size=1, max_size=60))
+@example([4.0])
+@example([1.0, -1.0])
+@example([0.0] * 6)
+def test_median_and_mad_equal_np_median_bit_for_bit(values):
+    z = np.array(values)
+    before = z.copy()
+    med, mad = median_and_mad(z)
+    want_med = float(np.median(z))
+    assert np.array_equal(z, before)  # the input is not partitioned in place
+    assert med == want_med
+    assert mad == float(np.median(np.abs(z - want_med)))
+    assert isinstance(med, float) and isinstance(mad, float)
+
+
+def test_squared_moments_match_power_formulas():
+    # the moments square the squares instead of calling pow: within 1e-13 of
+    # the ** formulas, k3 and k4 relative to the size of the terms they cancel
+    rng = np.random.default_rng(23)
+    draws = [rng.normal(size=500), rng.standard_t(3, size=2000), rng.exponential(size=77),
+             rng.uniform(-1e3, 1e3, size=10_000) + 5e3, rng.normal(size=3)]
+    for z in draws:
+        dev = z - z.mean()
+        m2, m3, m4 = (np.mean(dev**2), np.mean(dev**3), np.mean(dev**4))
+        assert abs(kurtosis(z) - m4 / m2**2) <= 1e-13 * (m4 / m2**2)
+        k1, k2, k3, k4 = first_four_cumulants(z)
+        assert k1 == z.mean() and k2 == m2
+        assert abs(k3 - m3) <= 1e-13 * np.mean(np.abs(dev) ** 3)
+        assert abs(k4 - (m4 - 3.0 * m2 * m2)) <= 1e-13 * (m4 + 3.0 * m2 * m2)
 
 
 def test_mad_translation_and_scale_equivariance():
