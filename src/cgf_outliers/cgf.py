@@ -7,8 +7,12 @@ sample CGF at radius r is
 
 evaluated with max-subtraction (log-sum-exp) so large exponents cannot
 overflow. Its gradient in theta is r times the exponentially weighted mean of
-the rows. One kernel serves every evaluation: it writes
-exp(r * Theta X^T - rowmax) in place into a caller-owned buffer.
+the rows. One kernel serves every evaluation: it reads the data transposed,
+as an n x T C-contiguous array X^T, and writes exp((r * Theta) X^T - rowmax)
+in place into a caller-owned buffer W, from which the weighted row sums are
+X^T W^T. Callers pass T x n rows; a view over an n x T array (as
+`detector.fit` makes) is used without a copy, any other layout is transposed
+once per call.
 
 Directions that locally maximize G over the unit sphere are found by a
 fixed-step projected ascent restarted from many random points; with step 1/r
@@ -19,14 +23,14 @@ iteration applies the map
 
 The multistart advances all active starts together, in blocks of at most 256
 so the buffer stays 256 x T, and retires (merges) a start once it lies within
-signed cosine 1 - 1e-6 of a converged start or of an active start of lower
-index: from there both climb to the same maximum, which the dedup would keep
-once (the clustering multistart of Rinnooy Kan & Timmer, Math. Programming
-39, 1987). Re-estimating one maximum on changed data (the refine) is a
-Riemannian BFGS ascent on the sphere with Armijo backtracking, each step
-capped at a few lengths of the Phi step, or at twice a previous step along
-which G was concave. Both stop at ||Phi(theta) - theta|| <= tolerance and
-return Phi(theta).
+signed cosine 1 - 1e-4 of a converged start or of an active start of lower
+index: from there both climb to the same maximum, which the dedup (|cosine|
+0.995) would keep once (the clustering multistart of Rinnooy Kan & Timmer,
+Math. Programming 39, 1987). Re-estimating one maximum on changed data (the
+refine) is a Riemannian BFGS ascent on the sphere with Armijo backtracking,
+each step capped at a few lengths of the Phi step, or at twice a previous
+step along which G was concave. Both stop at ||Phi(theta) - theta|| <=
+tolerance and return Phi(theta).
 
 The projection radius is chosen from the closed-form relative variance of the
 CGF estimator, which depends on r only through a = r**2 * lambda1: the error
@@ -64,7 +68,7 @@ UnitDirection = np.ndarray
 
 _ASCENT_SLACK = 1e-12
 _BLOCK = 256  # starts per kernel call in the multistart
-_MERGE_COS = 1.0 - 1e-6  # signed cosine at which a multistart start has joined another's ascent
+_MERGE_COS = 1.0 - 1e-4  # signed cosine at which a multistart start has joined another's ascent
 _STEP_CAP = 5.0  # refine step bound in Phi steps; larger bounds reach other maxima more often
 _ARMIJO = 1e-4  # sufficient-increase constant of the refine's backtracking
 
@@ -162,8 +166,12 @@ class MaximizerResult:
         return self.directions.shape[0]
 
 
+def _rows(data) -> np.ndarray:
+    return data.values if isinstance(data, DataMatrix) else np.asarray(data, dtype=float)
+
+
 def _values_theta(data, theta) -> tuple[np.ndarray, np.ndarray]:
-    X = data.values if isinstance(data, DataMatrix) else np.asarray(data, dtype=float)
+    X = _rows(data)
     th = np.asarray(theta, dtype=float).ravel()
     if th.shape[0] != X.shape[1]:
         raise ValueError(f"theta has length {th.shape[0]}, data has {X.shape[1]} columns")
@@ -194,9 +202,10 @@ def cgf_gradient(data: DataMatrix, r: float, theta) -> np.ndarray:
         raise ValueError("r must be nonnegative")
     if r == 0.0:
         return np.zeros(X.shape[1])
+    Xt = np.ascontiguousarray(X.T)
     w = np.empty((1, X.shape[0]))
-    _, wsum = _exp_shifted(X, r, th[None, :], w)
-    return r * (w[0] @ X) / wsum[0]
+    _, wsum = _exp_shifted(Xt, r, th[None, :], w)
+    return r * (Xt @ w[0]) / wsum[0]
 
 
 def relative_variance(r: float, lambda1: float, T: int) -> float:
@@ -307,27 +316,35 @@ def sample_unit_sphere(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def _exp_shifted(
-    X: np.ndarray, r: float, thetas: np.ndarray, out: np.ndarray
+    Xt: np.ndarray, r: float, thetas: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Write exp(r * thetas @ X.T - rowmax) into ``out``; return (rowmax, rowsum).
+    """Write exp(r * thetas @ Xt - rowmax) into ``out``; return (rowmax, rowsum).
 
-    ``out`` is a caller-owned C-contiguous len(thetas) x T buffer, the one
-    T-sized array every CGF value, gradient and ascent step is read from.
+    ``Xt`` is the data transposed, an n x T C-contiguous array, so the product
+    streams each variable's T values; r scales the len(thetas) x n directions
+    rather than the product. ``out`` is a caller-owned C-contiguous
+    len(thetas) x T buffer, the one T-sized array every CGF value, gradient
+    and ascent step is read from; callers take weighted row sums as
+    ``Xt @ out.T``.
     """
-    np.matmul(thetas, X.T, out=out)
-    out *= r
+    np.matmul(r * thetas, Xt, out=out)
     m = out.max(axis=1)
     out -= m[:, None]
     np.exp(out, out=out)
     return m, out.sum(axis=1)
 
 
-def _batch_cgf(X: np.ndarray, r: float, thetas: np.ndarray) -> np.ndarray:
+def _batch_cgf(
+    X: np.ndarray, r: float, thetas: np.ndarray, buf: np.ndarray | None = None
+) -> np.ndarray:
+    # buf, when given, is a kernel buffer with at least min(_BLOCK, len(thetas)) rows
+    Xt = np.ascontiguousarray(X.T)
     values = np.empty(thetas.shape[0])
-    buf = np.empty((min(_BLOCK, thetas.shape[0]), X.shape[0]))
+    if buf is None:
+        buf = np.empty((min(_BLOCK, thetas.shape[0]), X.shape[0]))
     for lo in range(0, thetas.shape[0], _BLOCK):
         block = thetas[lo : lo + _BLOCK]
-        m, wsum = _exp_shifted(X, r, block, buf[: block.shape[0]])
+        m, wsum = _exp_shifted(Xt, r, block, buf[: block.shape[0]])
         values[lo : lo + block.shape[0]] = m + np.log(wsum / X.shape[0])
     return values
 
@@ -350,17 +367,19 @@ def _ascend(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Fixed-step projected ascent from each row of ``starts``.
 
-    Returns (final thetas, G at each final theta, per-start update counts,
-    converged mask, merged mask, total updates, ascent violations). G is NaN
-    at the starts that did not converge, unless none did. Every
+    ``X`` holds T x n rows, read through the kernel's n x T layout (module
+    docstring). Returns (final thetas, G at each final theta, per-start update
+    counts, converged mask, merged mask, total updates, ascent violations). G
+    is NaN at the starts that did not converge, unless none did. Every
     iteration advances all active starts, _BLOCK at a time; rows are
     arithmetically independent, so a start that is never merged evaluates as
     it would alone. After each iteration an active start is merged (retired,
     neither converged nor active) when its signed cosine with a converged
-    start, or with an active start of lower index, is at least ``merge_cos``:
-    it has joined that start's ascent. Total updates include those of merged
-    starts.
+    start, or with an active start of lower index, is at least ``merge_cos``
+    (1 - 1e-4 by default): it has joined that start's ascent. Total updates
+    include those of merged starts.
     """
+    Xt = np.ascontiguousarray(X.T)
     thetas = np.array(starts, dtype=float)
     n_starts = thetas.shape[0]
     iters = np.zeros(n_starts, dtype=int)
@@ -379,7 +398,7 @@ def _ascend(
             idx = live[lo : lo + _BLOCK]
             cur = thetas[idx]
             w = buf[: idx.size]
-            m, wsum = _exp_shifted(X, r, cur, w)
+            m, wsum = _exp_shifted(Xt, r, cur, w)
 
             g_here = m + np.log(wsum / X.shape[0])
             prev = last_g[idx]
@@ -388,7 +407,7 @@ def _ascend(
             violations += int(np.sum(g_here[seen] < prev[seen] - slack))
             last_g[idx] = g_here
 
-            new = _fixed_step(cur, (w @ X) / wsum[:, None])
+            new = _fixed_step(cur, (Xt @ w.T).T / wsum[:, None])
             delta = np.linalg.norm(new - cur, axis=1)
             thetas[idx] = new
             iters[idx] += 1
@@ -409,7 +428,7 @@ def _ascend(
     # G at the candidates (every start when none converged), closing their ascent check
     ends = converged if converged.any() else np.ones(n_starts, dtype=bool)
     g_final = np.full(n_starts, np.nan)
-    g_final[ends] = _batch_cgf(X, r, thetas[ends])
+    g_final[ends] = _batch_cgf(Xt.T, r, thetas[ends], buf)
     slack = _ASCENT_SLACK * np.maximum(1.0, np.abs(last_g))
     violations += int(np.sum(g_final < last_g - slack))  # NaN on either side compares False
 
@@ -421,7 +440,7 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
 
     Starts are drawn from ``config.seed``; each follows the fixed-step update
     until it moves less than ``config.tolerance`` or hits ``max_iters``, or
-    until it merges: within signed cosine max(dedup_cos, 1 - 1e-6) of a
+    until it merges: within signed cosine max(dedup_cos, 1 - 1e-4) of a
     converged start or an active start of lower index, it stops and counts as
     neither converged nor a candidate, though its updates count in
     total_iterations. The signed test keeps +-theta (different CGF values)
@@ -429,12 +448,13 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
     points are ranked by CGF value and near-duplicates (|cosine| above
     ``dedup_cos`` with an already-kept, higher-valued direction) are
     discarded; most starts land on the same handful of maxima, and for
-    symmetric data the +-theta pair collapses to one representative.
+    symmetric data the +-theta pair collapses to one representative. ``data``
+    is T x n in any memory layout; the result does not depend on the layout.
 
     Raises ConvergenceError (with partial results for all n_starts starts
     attached) only when no start converges at all.
     """
-    X = data.values if isinstance(data, DataMatrix) else np.asarray(data, dtype=float)
+    X = _rows(data)
     if not (r > 0):
         raise ValueError("r must be positive")
     starts = sample_unit_sphere(X.shape[1], config.n_starts, config.seed)
@@ -469,7 +489,7 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
 
 
 def refine_direction(
-    values: np.ndarray,
+    values: DataMatrix | np.ndarray,
     r: float,
     theta,
     tolerance: float = 1e-7,
@@ -498,17 +518,20 @@ def refine_direction(
     Returns (direction, kernel calls used, converged); backtracking trials
     count as calls. A run that exhausts max_iters keeps the Phi step of its
     last accepted point: the caller is tracking a local maximum across small
-    data changes, where that is the best available estimate.
+    data changes, where that is the best available estimate. ``values`` are
+    T x n rows (a DataMatrix or an array of any memory layout); a view over an
+    n x T array is not copied.
     """
-    X = np.asarray(values, dtype=float)
     if not (r > 0):
         raise ValueError("r must be positive")
-    buf = np.empty((1, X.shape[0]))
+    Xt = np.ascontiguousarray(_rows(values).T)
+    T = Xt.shape[1]
+    buf = np.empty((1, T))
 
     def evaluate(th: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        m, wsum = _exp_shifted(X, r, th[None, :], buf)
-        mu = (buf[0] @ X) / wsum[0]
-        g = float(m[0] + np.log(wsum[0] / X.shape[0]))
+        m, wsum = _exp_shifted(Xt, r, th[None, :], buf)
+        mu = (Xt @ buf[0]) / wsum[0]
+        g = float(m[0] + np.log(wsum[0] / T))
         v = th + mu  # Phi(th) = v / ||v||, or th where v is exactly zero
         norm = math.sqrt(v @ v)
         return g, r * (mu - (th @ mu) * th), v / norm if norm > 0.0 else th

@@ -186,6 +186,11 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[pivot] < 0 else v
 
 
+def _scaled_rows(Y: np.ndarray, scale: float) -> np.ndarray:
+    # Y / scale as a T x n view over an n x T array: the CGF kernel's layout, made once
+    return np.divide(Y.T, scale, order="C").T
+
+
 def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
     """Center, select the radius, and pair the candidates with their re-estimator.
 
@@ -214,7 +219,7 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
     iterations = 0
     if config.method is DetectionMethod.MAX_CGF:
         scale = math.sqrt(lambda1)  # the ascent sees unit-lambda1 data at radius r * scale
-        result = maximize_cgf(centered.values / scale, r * scale, ms)
+        result = maximize_cgf(_scaled_rows(centered.values, scale), r * scale, ms)
         candidates = tuple(
             (result.directions[k], float(result.cgf_values[k])) for k in range(len(result))
         )
@@ -225,7 +230,8 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
             )
 
         def reestimate(Y, theta):
-            return refine_direction(Y / scale, r * scale, theta, ms.tolerance, ms.max_iters)
+            return refine_direction(_scaled_rows(Y, scale), r * scale, theta, ms.tolerance,
+                                    ms.max_iters)
 
     else:
         candidates = ((_readonly(_fix_sign(cov.pc1)), None),)

@@ -171,27 +171,32 @@ def _median_inplace(a: np.ndarray) -> float:
     return float((a[h - 1] + a[h]) / 2.0)
 
 
+def _mean(x: np.ndarray) -> float:
+    # np.mean's arithmetic (the same pairwise sum, then one division) without its wrappers
+    return float(np.add.reduce(x) / x.size)
+
+
 def kurtosis(z) -> float:
     """Population non-excess kurtosis m4 / m2**2 (about 3 for a normal sample)."""
     arr = _as_vector(z)
     if arr.size < 2:
         raise ValueError("kurtosis needs at least 2 observations")
-    dev = arr - arr.mean()
+    dev = arr - _mean(arr)
     sq = dev * dev
-    m2 = float(np.mean(sq))
+    m2 = _mean(sq)
     if m2 == 0.0:
         raise DegenerateInputError("kurtosis undefined for zero-variance input")
-    m4 = float(np.mean(sq * sq))
+    m4 = _mean(sq * sq)
     return m4 / (m2 * m2)
 
 
 def first_four_cumulants(z) -> tuple[float, float, float, float]:
     """(k1, k2, k3, k4) from population central moments: k4 = m4 - 3*m2**2."""
     arr = _as_vector(z)
-    k1 = float(arr.mean())
+    k1 = _mean(arr)
     dev = arr - k1
     sq = dev * dev
-    m2 = float(np.mean(sq))
-    m3 = float(np.mean(sq * dev))
-    m4 = float(np.mean(sq * sq))
+    m2 = _mean(sq)
+    m3 = _mean(sq * dev)
+    m4 = _mean(sq * sq)
     return k1, m2, m3, m4 - 3.0 * m2 * m2

@@ -11,7 +11,11 @@ from cgf_outliers import (
     MultistartConfig,
     cgf_estimate,
     cgf_gradient,
+    SimulationSpec,
     center,
+    covariance_pca,
+    default_covariance,
+    inject_outliers,
     maximize_cgf,
     refine_direction,
     relative_variance,
@@ -231,6 +235,29 @@ def test_maximize_is_deterministic():
     assert np.array_equal(a.cgf_values, b.cgf_values)
 
 
+def test_results_do_not_depend_on_the_memory_layout():
+    # users pass C-ordered arrays or DataMatrix, fit passes a view over an n x T copy
+    rng = np.random.default_rng(12)
+    X = center(DataMatrix(rng.standard_t(5, size=(300, 5)) * np.arange(1.0, 6.0))).values
+    layouts = [np.ascontiguousarray(X), np.asfortranarray(X), DataMatrix(X),
+               np.divide(X.T, 1.0, order="C").T]
+    config = MultistartConfig(n_starts=40, seed=12)
+    ref = maximize_cgf(layouts[0], 0.9, config)
+    start = sample_unit_sphere(5, 1, seed=12)[0]
+    ref_refine = refine_direction(layouts[0][:250], 0.9, start)
+    for data in layouts[1:]:
+        got = maximize_cgf(data, 0.9, config)
+        assert np.array_equal(got.directions, ref.directions)
+        assert np.array_equal(got.cgf_values, ref.cgf_values)
+        assert np.array_equal(got.iteration_counts, ref.iteration_counts)
+        assert (got.total_iterations, got.starts_converged, got.starts_merged) == (
+            ref.total_iterations, ref.starts_converged, ref.starts_merged)
+        rows = DataMatrix(data.values[:250]) if isinstance(data, DataMatrix) else data[:250]
+        theta, used, converged = refine_direction(rows, 0.9, start)
+        assert np.array_equal(theta, ref_refine[0])
+        assert (used, converged) == ref_refine[1:]
+
+
 def test_batched_ascent_matches_per_start_runs():
     # each start's trajectory is independent of the rest of the batch: a start
     # that is not merged lands where it lands alone (the arithmetic is not
@@ -440,13 +467,28 @@ def _solo_maxima(data: DataMatrix, r: float, config: MultistartConfig):
     return ends[kept], values[kept], sum(run[5] for run in runs)
 
 
+def _experiment_data(family: str, seed: int) -> tuple[DataMatrix, float]:
+    # an n=30, T=500 simulation draw as the detector's ascent sees it: unit lambda1
+    spec = SimulationSpec(family=family, n=30, T=500, seed=seed,
+                          sigma_mat=default_covariance(30, 20.0, seed=0),
+                          nu=5.0 if family == "student_t" else None)
+    data = center(inject_outliers(spec).data)
+    lambda1 = covariance_pca(data).lambda1
+    r = select_radius(lambda1, 500, 0.1).r_bar * math.sqrt(lambda1)
+    return DataMatrix(data.values / math.sqrt(lambda1)), r
+
+
 def test_merged_multistart_matches_solo_runs():
     rng = np.random.default_rng(41)
-    datasets = [(_skewed_data(seed), 1.2) for seed in range(5)]
-    datasets.append((center(DataMatrix(rng.normal(size=(300, 4)))), 1.0))
-    datasets.append((center(DataMatrix(rng.standard_t(5, size=(300, 4)))), 0.8))
-    config = MultistartConfig(n_starts=60, seed=41)
-    for data, r in datasets:
+    datasets = [(_skewed_data(seed), 1.2, 60) for seed in range(5)]
+    datasets.append((center(DataMatrix(rng.normal(size=(300, 4)))), 1.0, 60))
+    datasets.append((center(DataMatrix(rng.standard_t(5, size=(300, 4)))), 0.8, 60))
+    # merging must lose no maximum at the experiments' n=30, T=500 and 200 starts
+    for family in ("normal", "student_t", "skew_normal"):
+        for seed in (41, 42):
+            datasets.append((*_experiment_data(family, seed), 200))
+    for data, r, n_starts in datasets:
+        config = MultistartConfig(n_starts=n_starts, seed=41)
         directions, values, solo_total = _solo_maxima(data, r, config)
         result = maximize_cgf(data, r, config)
         assert result.starts_merged > 0

@@ -150,6 +150,18 @@ def test_squared_moments_match_power_formulas():
         assert abs(k4 - (m4 - 3.0 * m2 * m2)) <= 1e-13 * (m4 + 3.0 * m2 * m2)
 
 
+def test_moments_equal_the_np_mean_formulas_bit_for_bit():
+    # the means skip np.mean's wrappers but not its arithmetic
+    rng = np.random.default_rng(29)
+    for size in range(2, 601):
+        z = rng.standard_t(4, size=size) * rng.uniform(0.1, 10.0) + rng.uniform(-5.0, 5.0)
+        dev = z - np.mean(z)
+        sq = dev * dev
+        m2, m3, m4 = float(np.mean(sq)), float(np.mean(sq * dev)), float(np.mean(sq * sq))
+        assert kurtosis(z) == m4 / (m2 * m2)
+        assert first_four_cumulants(z) == (float(np.mean(z)), m2, m3, m4 - 3.0 * m2 * m2)
+
+
 def test_mad_translation_and_scale_equivariance():
     rng = np.random.default_rng(3)
     for _ in range(20):
