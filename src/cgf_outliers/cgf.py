@@ -29,8 +29,14 @@ index: from there both climb to the same maximum, which the dedup (|cosine|
 Math. Programming 39, 1987). Re-estimating one maximum on changed data (the
 refine) is a Riemannian BFGS ascent on the sphere with Armijo backtracking,
 each step capped at a few lengths of the Phi step, or at twice a previous
-step along which G was concave. Both stop at ||Phi(theta) - theta|| <=
-tolerance and return Phi(theta).
+step along which G was concave. Both stop at ||Phi(theta) - theta|| <= 1e-7,
+or after 10,000 updates (kernel calls for the refine), and return Phi(theta).
+
+Phi never lowers G. F(theta) = G(theta) + (r/2) ||theta||^2 is convex
+because G is, and Phi(theta) = grad F / ||grad F||, so for unit theta
+F(Phi) >= F(theta) + grad F . (Phi - theta) >= F(theta) (Cauchy-Schwarz);
+F - G is constant on the sphere. This is the generalized power method of
+Journee, Nesterov, Richtarik & Sepulchre (JMLR 11, 2010).
 
 The projection radius is chosen from the closed-form relative variance of the
 CGF estimator, which depends on r only through a = r**2 * lambda1: the error
@@ -63,10 +69,10 @@ __all__ = [
     "refine_direction",
 ]
 
-# A direction is just a unit-norm 1-D float array; the alias documents intent.
-UnitDirection = np.ndarray
-
 _ASCENT_SLACK = 1e-12
+_TOLERANCE = 1e-7  # an ascent stops once ||Phi(theta) - theta|| is at most this
+_MAX_ITERS = 10_000  # updates per multistart start, kernel calls per refine
+_DEDUP_COS = 0.995  # |cosine| above which a lower-valued maximum is a duplicate
 _BLOCK = 256  # starts per kernel call in the multistart
 _MERGE_COS = 1.0 - 1e-4  # signed cosine at which a multistart start has joined another's ascent
 _STEP_CAP = 5.0  # refine step bound in Phi steps; larger bounds reach other maxima more often
@@ -74,14 +80,14 @@ _ARMIJO = 1e-4  # sufficient-increase constant of the refine's backtracking
 
 
 class ConvergenceError(RuntimeError):
-    """No ascent start converged within max_iters. Carries partial results."""
+    """No ascent start converged within _MAX_ITERS. Carries partial results."""
 
     def __init__(self, message: str, partial: "MaximizerResult | None" = None):
         super().__init__(message)
         self.partial = partial
 
 
-def unit_vector(v) -> UnitDirection:
+def unit_vector(v) -> np.ndarray:
     """Normalize v to unit Euclidean norm."""
     arr = np.asarray(v, dtype=float).ravel()
     norm = float(np.linalg.norm(arr))
@@ -108,28 +114,14 @@ class RadiusSelection:
 
 @dataclass(frozen=True)
 class MultistartConfig:
-    """Knobs for the multistart ascent.
-
-    n_starts random unit vectors; iteration stops when the update moves less
-    than `tolerance` in Euclidean norm or after max_iters updates; converged
-    points closer than `dedup_cos` in |cosine| to a better one are dropped.
-    """
+    """n_starts random unit vectors drawn from seed; maximize_cgf fixes the rest."""
 
     n_starts: int = 1000
-    tolerance: float = 1e-7
-    max_iters: int = 10_000
     seed: int = 0
-    dedup_cos: float = 0.995
 
     def __post_init__(self) -> None:
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        if not (self.tolerance > 0):
-            raise ValueError("tolerance must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not (0.0 < self.dedup_cos < 1.0):
-            raise ValueError("dedup_cos must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,12 +131,12 @@ class MaximizerResult:
     directions[k] is a unit row vector, cgf_values[k] its sample CGF, and
     iteration_counts[k] the updates its kept start used. total_iterations
     sums updates over every start, kept, dropped by the dedup or merged;
-    ascent_violations counts iterations whose CGF decreased beyond slack (the
-    fixed 1/r step does not guarantee monotone ascent in theory, so
-    violations are reported rather than repaired); the last step of a merged
-    or unconverged start is checked only when no start converged. Of the
+    ascent_violations counts iterations whose CGF decreased beyond slack,
+    which Phi rules out in exact arithmetic (module docstring), so a nonzero
+    count flags round-off or a broken kernel; the last step of a merged or
+    unconverged start is checked only when no start converged. Of the
     n_starts starts, starts_converged converged, starts_merged were retired on
-    joining another start's ascent (maximize_cgf), and the rest hit max_iters.
+    joining another start's ascent (maximize_cgf), and the rest hit _MAX_ITERS.
     """
 
     directions: np.ndarray
@@ -363,7 +355,6 @@ def _ascend(
     starts: np.ndarray,
     tolerance: float,
     max_iters: int,
-    merge_cos: float = _MERGE_COS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Fixed-step projected ascent from each row of ``starts``.
 
@@ -375,9 +366,9 @@ def _ascend(
     arithmetically independent, so a start that is never merged evaluates as
     it would alone. After each iteration an active start is merged (retired,
     neither converged nor active) when its signed cosine with a converged
-    start, or with an active start of lower index, is at least ``merge_cos``
-    (1 - 1e-4 by default): it has joined that start's ascent. Total updates
-    include those of merged starts.
+    start, or with an active start of lower index, is at least _MERGE_COS: it
+    has joined that start's ascent. Total updates include those of merged
+    starts.
     """
     Xt = np.ascontiguousarray(X.T)
     thetas = np.array(starts, dtype=float)
@@ -420,7 +411,7 @@ def _ascend(
         anchors, ahead = thetas[pool].T, converged[pool]
         for lo in range(0, live.size, _BLOCK):
             idx = live[lo : lo + _BLOCK]
-            near = (thetas[idx] @ anchors >= merge_cos) & (ahead | (pool < idx[:, None]))
+            near = (thetas[idx] @ anchors >= _MERGE_COS) & (ahead | (pool < idx[:, None]))
             joined = idx[near.any(axis=1)]
             merged[joined] = True
             active[joined] = False
@@ -439,14 +430,14 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
     """Multistart projected ascent of the sample CGF over the unit sphere.
 
     Starts are drawn from ``config.seed``; each follows the fixed-step update
-    until it moves less than ``config.tolerance`` or hits ``max_iters``, or
-    until it merges: within signed cosine max(dedup_cos, 1 - 1e-4) of a
-    converged start or an active start of lower index, it stops and counts as
-    neither converged nor a candidate, though its updates count in
+    until it moves at most _TOLERANCE (1e-7) or has made _MAX_ITERS (10,000)
+    updates, or until it merges: within signed cosine _MERGE_COS (1 - 1e-4)
+    of a converged start or an active start of lower index, it stops and
+    counts as neither converged nor a candidate, though its updates count in
     total_iterations. The signed test keeps +-theta (different CGF values)
     apart, and no merge joins directions the dedup would keep. Converged
     points are ranked by CGF value and near-duplicates (|cosine| above
-    ``dedup_cos`` with an already-kept, higher-valued direction) are
+    _DEDUP_COS (0.995) with an already-kept, higher-valued direction) are
     discarded; most starts land on the same handful of maxima, and for
     symmetric data the +-theta pair collapses to one representative. ``data``
     is T x n in any memory layout; the result does not depend on the layout.
@@ -459,7 +450,7 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
         raise ValueError("r must be positive")
     starts = sample_unit_sphere(X.shape[1], config.n_starts, config.seed)
     thetas, values, iters, converged, merged, total, violations = _ascend(
-        X, r, starts, config.tolerance, config.max_iters, max(config.dedup_cos, _MERGE_COS)
+        X, r, starts, _TOLERANCE, _MAX_ITERS
     )
     counts = dict(total_iterations=total, ascent_violations=violations,
                   starts_converged=int(converged.sum()), starts_merged=int(merged.sum()))
@@ -469,7 +460,7 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
             directions=thetas, cgf_values=values, iteration_counts=iters, **counts
         )
         raise ConvergenceError(
-            f"no start converged within {config.max_iters} iterations", partial
+            f"no start converged within {_MAX_ITERS} iterations", partial
         )
 
     cand = np.flatnonzero(converged)
@@ -477,7 +468,7 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
 
     kept: list[int] = []
     for i in order:
-        if not kept or np.abs(thetas[kept] @ thetas[i]).max() <= config.dedup_cos:
+        if not kept or np.abs(thetas[kept] @ thetas[i]).max() <= _DEDUP_COS:
             kept.append(int(i))
 
     return MaximizerResult(
@@ -488,13 +479,7 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
     )
 
 
-def refine_direction(
-    values: DataMatrix | np.ndarray,
-    r: float,
-    theta,
-    tolerance: float = 1e-7,
-    max_iters: int = 10_000,
-) -> tuple[np.ndarray, int, bool]:
+def refine_direction(values: np.ndarray, r: float, theta) -> tuple[np.ndarray, int, bool]:
     """Single warm-started ascent run used to track a maximum on shrinking data.
 
     Riemannian BFGS ascent of G on the unit sphere (Absil, Mahony & Sepulchre,
@@ -509,22 +494,22 @@ def refine_direction(
     doubling lets a run cross a flat maximum, where the Phi step is tiny, in
     few steps. The step is halved along the retraction normalize(theta + t d)
     until G rises by the Armijo margin. When d is no ascent direction, or
-    halving drives t ||d|| below the tolerance, H restarts at I/r; in the
+    halving drives t ||d|| below _TOLERANCE, H restarts at I/r; in the
     second case the plain Phi step is taken. H takes the rank-2 BFGS update
     from the step and gradient change projected onto the new tangent space,
     skipped without positive curvature. Stops when ||Phi(theta) - theta|| <=
-    tolerance and returns Phi(theta).
+    _TOLERANCE (1e-7) and returns Phi(theta).
 
     Returns (direction, kernel calls used, converged); backtracking trials
-    count as calls. A run that exhausts max_iters keeps the Phi step of its
-    last accepted point: the caller is tracking a local maximum across small
-    data changes, where that is the best available estimate. ``values`` are
-    T x n rows (a DataMatrix or an array of any memory layout); a view over an
-    n x T array is not copied.
+    count as calls. A run that reaches _MAX_ITERS (10,000) calls keeps the
+    Phi step of its last accepted point: the caller is tracking a local
+    maximum across small data changes, where that is the best available
+    estimate. ``values`` are T x n rows, an array of any memory layout; a view
+    over an n x T array is not copied.
     """
     if not (r > 0):
         raise ValueError("r must be positive")
-    Xt = np.ascontiguousarray(_rows(values).T)
+    Xt = np.ascontiguousarray(np.asarray(values, dtype=float).T)
     T = Xt.shape[1]
     buf = np.empty((1, T))
 
@@ -543,9 +528,9 @@ def refine_direction(
     radius = 0.0
     while True:
         step = float(np.linalg.norm(phi - theta))
-        if step <= tolerance:
+        if step <= _TOLERANCE:
             return phi, used, True
-        if used >= max_iters:
+        if used >= _MAX_ITERS:
             return phi, used, False
 
         d = H @ grad
@@ -557,17 +542,17 @@ def refine_direction(
             slope = float(grad @ d)
         d_norm = float(np.linalg.norm(d))
         t = min(1.0, max(_STEP_CAP * step, radius) / d_norm)
-        while t * d_norm >= tolerance:
+        while t * d_norm >= _TOLERANCE:
             trial = theta + t * d
             trial /= np.linalg.norm(trial)
             g_new, grad_new, phi_new = evaluate(trial)
             used += 1
             if g_new >= g + _ARMIJO * t * slope:
                 break
-            if used >= max_iters:
+            if used >= _MAX_ITERS:
                 return phi, used, False
             t *= 0.5
-        else:  # no step above the tolerance ascends: the plain map, curvature dropped
+        else:  # no step above _TOLERANCE ascends: the plain map, curvature dropped
             theta, H, radius = phi, fresh, 0.0
             g, grad, phi = evaluate(theta)
             used += 1

@@ -319,6 +319,9 @@ def _beta_star_mode(values: list[float]) -> float | None:
 
 
 def _cmd_sweep(args) -> int:
+    if args.n_seeds < 1:
+        _emit_error("usage", f"--n-seeds must be >= 1, got {args.n_seeds}")
+        return 2
     out = _outdir(args)
     grid = _grid(args)
     per_seed = []

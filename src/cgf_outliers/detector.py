@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import cgf
 from .cgf import (
     MultistartConfig,
     RadiusSelection,
@@ -131,10 +132,11 @@ class DetectionReport:
     removed it, or its score in the final surviving projection. Rows that were
     never scored (data exhausted before any scoring) keep NaN.
     iterations_total counts every ascent map evaluation spent (multistart
-    updates plus re-estimation evaluations, rejected accelerated candidates
-    included; the PCA baseline counts one per re-estimation). r_used is the
-    projection radius. A re-estimation that hits max_iters without converging
-    keeps its last iterate; their number is reported in warnings.
+    updates plus re-estimation kernel calls, backtracking trials included;
+    the PCA baseline counts one per re-estimation). r_used is the projection
+    radius. A re-estimation that hits the refine's call limit (10,000)
+    without converging keeps its last iterate; their number is reported in
+    warnings.
     """
 
     outlier_flags: np.ndarray
@@ -208,7 +210,6 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
         raise DegenerateInputError("data has no variance to project")
     r_sel = select_radius(lambda1, T, config.target_eps)
     r = r_sel.r_bar
-    ms = config.multistart
 
     warnings: list[str] = []
     if not r_sel.feasible:
@@ -219,7 +220,7 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
     iterations = 0
     if config.method is DetectionMethod.MAX_CGF:
         scale = math.sqrt(lambda1)  # the ascent sees unit-lambda1 data at radius r * scale
-        result = maximize_cgf(_scaled_rows(centered.values, scale), r * scale, ms)
+        result = maximize_cgf(_scaled_rows(centered.values, scale), r * scale, config.multistart)
         candidates = tuple(
             (result.directions[k], float(result.cgf_values[k])) for k in range(len(result))
         )
@@ -230,8 +231,7 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
             )
 
         def reestimate(Y, theta):
-            return refine_direction(_scaled_rows(Y, scale), r * scale, theta, ms.tolerance,
-                                    ms.max_iters)
+            return refine_direction(_scaled_rows(Y, scale), r * scale, theta)
 
     else:
         candidates = ((_readonly(_fix_sign(cov.pc1)), None),)
@@ -339,8 +339,7 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
 
     if nonconverged:
         warnings.append(
-            f"{nonconverged} re-estimation(s) hit max_iters="
-            f"{fitted.config.multistart.max_iters} without converging"
+            f"{nonconverged} re-estimation(s) hit max_iters={cgf._MAX_ITERS} without converging"
         )
     return DetectionReport(
         outlier_flags=flags,

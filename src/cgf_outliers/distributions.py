@@ -5,10 +5,10 @@ Families: standard normal, correlated normal, multivariate skew-normal
 multivariate Student-t. The skew-normal exposes its analytic CGF so the
 empirical estimator can be validated against a closed form.
 
-Outlier injection plants a k x m block drawn from the same family with the
-scale matrix multiplied by ``outlier_scale`` (default 15) into k randomly
-chosen rows and m randomly chosen columns of an ordinary sample, and labels
-the chosen rows as ground truth.
+Outlier injection follows one fixed protocol: it plants a k x m block drawn
+from the same family with the scale matrix multiplied by 15 into
+k = floor(0.1 T) randomly chosen rows and m = floor(0.5 n) randomly chosen
+columns of an ordinary sample, and labels the chosen rows as ground truth.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ __all__ = [
 FAMILIES = ("std_normal", "normal", "skew_normal", "student_t")
 
 _HALF_PI = math.pi / 2.0
+_OUTLIER_SCALE = 15.0  # the block's scale matrix is this multiple of Sigma
+_OUTLIER_ROW_FRAC = 0.1  # the block has floor(this * T) rows
+_OUTLIER_COL_FRAC = 0.5  # and floor(this * n) columns
 
 
 def _check_spd(sigma: np.ndarray, what: str) -> np.ndarray:
@@ -130,10 +133,9 @@ class SimulationSpec:
     """Recipe for one labeled synthetic dataset.
 
     ``sigma_mat`` may be omitted for the std_normal family (identity is
-    implied); ``alpha`` may be omitted for skew_normal, in which case each
-    run draws it uniformly from ``alpha_range``. The outlier block has
-    floor(outlier_row_frac * T) rows and floor(outlier_col_frac * n) columns;
-    both floors must be at least 1.
+    implied); the skew_normal shape alpha is drawn per run, uniformly from
+    ``alpha_range``. The outlier block (module docstring) has
+    floor(0.1 * T) rows and floor(0.5 * n) columns, so T >= 10 and n >= 2.
     """
 
     family: str
@@ -141,26 +143,16 @@ class SimulationSpec:
     T: int
     seed: int
     sigma_mat: np.ndarray | None = None
-    alpha: np.ndarray | None = None
     nu: float | None = None
-    outlier_scale: float = 15.0
-    outlier_row_frac: float = 0.1
-    outlier_col_frac: float = 0.5
     alpha_range: tuple[float, float] = (-1.0, 4.0)
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; choose from {FAMILIES}")
-        if self.n < 1 or self.T < 1:
-            raise ValueError("n and T must be >= 1")
-        if not (0.0 < self.outlier_row_frac < 1.0 and 0.0 < self.outlier_col_frac < 1.0):
-            raise ValueError("outlier fractions must lie strictly in (0, 1)")
-        if not (self.outlier_scale > 0):
-            raise ValueError("outlier_scale must be positive")
         if self.n_outlier_rows < 1 or self.n_outlier_cols < 1:
             raise ValueError(
-                "outlier block is empty: floor(row_frac*T) and floor(col_frac*n) "
-                "must both be >= 1"
+                f"outlier block is empty: it needs T >= {math.ceil(1 / _OUTLIER_ROW_FRAC)} "
+                f"and n >= {math.ceil(1 / _OUTLIER_COL_FRAC)}, got T={self.T}, n={self.n}"
             )
 
         if self.family == "std_normal":
@@ -184,24 +176,17 @@ class SimulationSpec:
         elif self.nu is not None:
             raise ValueError("nu only applies to student_t")
 
-        if self.alpha is not None:
-            if self.family != "skew_normal":
-                raise ValueError("alpha only applies to skew_normal")
-            alpha = np.asarray(self.alpha, dtype=float).ravel()
-            if alpha.shape != (self.n,):
-                raise ValueError("alpha must have length n")
-            object.__setattr__(self, "alpha", _readonly(alpha))
         lo, hi = self.alpha_range
         if not (lo < hi):
             raise ValueError("alpha_range must be increasing")
 
     @property
     def n_outlier_rows(self) -> int:
-        return int(math.floor(self.outlier_row_frac * self.T))
+        return int(math.floor(_OUTLIER_ROW_FRAC * self.T))
 
     @property
     def n_outlier_cols(self) -> int:
-        return int(math.floor(self.outlier_col_frac * self.n))
+        return int(math.floor(_OUTLIER_COL_FRAC * self.n))
 
 
 def _normal_rows(rng: np.random.Generator, chol_lower: np.ndarray, T: int) -> np.ndarray:
@@ -321,22 +306,19 @@ def inject_outliers(spec: SimulationSpec) -> LabeledDataset:
     """Draw an ordinary sample and overwrite a random block with scaled-up draws.
 
     The block reuses the family's own parameters (same alpha / nu) with
-    ``outlier_scale * Sigma`` restricted to the selected columns; one shared
-    row set spans all selected columns. Entries outside the block are exactly
-    the ordinary draws. Deterministic per spec.seed.
+    15 * Sigma restricted to the selected columns; one shared row set spans
+    all selected columns. Entries outside the block are exactly the ordinary
+    draws. Deterministic per spec.seed.
     """
     rng = np.random.default_rng(spec.seed)
-    alpha = spec.alpha
-    if spec.family == "skew_normal" and alpha is None:
-        lo, hi = spec.alpha_range
-        alpha = rng.uniform(lo, hi, spec.n)
+    alpha = rng.uniform(*spec.alpha_range, spec.n) if spec.family == "skew_normal" else None
 
     X = _family_rows(rng, spec.family, spec.sigma_mat, spec.T, alpha, spec.nu)
     rows = rng.choice(spec.T, size=spec.n_outlier_rows, replace=False)
     cols = rng.choice(spec.n, size=spec.n_outlier_cols, replace=False)
 
-    sigma_sub = spec.outlier_scale * spec.sigma_mat[np.ix_(cols, cols)]
-    alpha_sub = None if alpha is None else np.asarray(alpha)[cols]
+    sigma_sub = _OUTLIER_SCALE * spec.sigma_mat[np.ix_(cols, cols)]
+    alpha_sub = None if alpha is None else alpha[cols]
     block = _family_rows(
         rng, spec.family, sigma_sub, spec.n_outlier_rows, alpha_sub, spec.nu
     )

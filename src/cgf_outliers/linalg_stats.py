@@ -48,14 +48,10 @@ class DataMatrix:
         Finite float entries; stored read-only.
     row_labels : tuple of str, optional
         One identifier per row (dates for return series, indices otherwise).
-    mean_removed : ndarray, shape (n,), optional
-        Column means subtracted by :func:`center`, retained so the original
-        data can be reconstructed. ``None`` for raw matrices.
     """
 
     values: np.ndarray
     row_labels: tuple[str, ...] | None = None
-    mean_removed: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.values, dtype=float)
@@ -73,11 +69,6 @@ class DataMatrix:
                     f"row_labels has {len(labels)} entries for {arr.shape[0]} rows"
                 )
             object.__setattr__(self, "row_labels", labels)
-        if self.mean_removed is not None:
-            mean = np.asarray(self.mean_removed, dtype=float)
-            if mean.shape != (arr.shape[1],):
-                raise ValueError("mean_removed must have one entry per column")
-            object.__setattr__(self, "mean_removed", _readonly(mean))
 
     @property
     def n_obs(self) -> int:
@@ -115,9 +106,8 @@ class CovarianceSummary:
 
 
 def center(data: DataMatrix) -> DataMatrix:
-    """Subtract each column's sample mean; the mean vector rides along on the result."""
-    mean = data.values.mean(axis=0)
-    return DataMatrix(data.values - mean, row_labels=data.row_labels, mean_removed=mean)
+    """Subtract each column's sample mean."""
+    return DataMatrix(data.values - data.values.mean(axis=0), row_labels=data.row_labels)
 
 
 def covariance_pca(data: DataMatrix) -> CovarianceSummary:

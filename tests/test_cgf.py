@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgf_outliers import (
     ConvergenceError,
@@ -211,7 +213,7 @@ def test_maximizer_result_invariants():
     for i in range(len(result)):
         for j in range(i + 1, len(result)):
             cos = abs(float(result.directions[i] @ result.directions[j]))
-            assert cos <= config.dedup_cos + 1e-12
+            assert cos <= cgf_module._DEDUP_COS + 1e-12
     assert result.total_iterations >= int(np.sum(result.iteration_counts))
     assert result.ascent_violations == 0
 
@@ -252,8 +254,9 @@ def test_results_do_not_depend_on_the_memory_layout():
         assert np.array_equal(got.iteration_counts, ref.iteration_counts)
         assert (got.total_iterations, got.starts_converged, got.starts_merged) == (
             ref.total_iterations, ref.starts_converged, ref.starts_merged)
-        rows = DataMatrix(data.values[:250]) if isinstance(data, DataMatrix) else data[:250]
-        theta, used, converged = refine_direction(rows, 0.9, start)
+        if isinstance(data, DataMatrix):
+            continue  # refine_direction takes arrays only
+        theta, used, converged = refine_direction(data[:250], 0.9, start)
         assert np.array_equal(theta, ref_refine[0])
         assert (used, converged) == ref_refine[1:]
 
@@ -285,19 +288,21 @@ def test_batched_ascent_matches_per_start_runs():
 
 def test_converged_points_satisfy_first_order_condition():
     rng = np.random.default_rng(6)
-    tol = 1e-7
+    tol = cgf_module._TOLERANCE
     data = center(DataMatrix(rng.normal(size=(80, 4))))
-    result = maximize_cgf(data, 1.3, MultistartConfig(n_starts=30, seed=6, tolerance=tol))
+    result = maximize_cgf(data, 1.3, MultistartConfig(n_starts=30, seed=6))
     for theta in result.directions:
         grad = cgf_gradient(data, 1.3, theta)
         tangential = grad - (grad @ theta) * theta
         assert np.linalg.norm(tangential) <= 10 * tol * max(1.0, np.linalg.norm(grad))
 
 
-def test_maximize_raises_when_nothing_converges():
+def test_maximize_raises_when_nothing_converges(monkeypatch):
     rng = np.random.default_rng(2)
     data = center(DataMatrix(rng.normal(size=(50, 3))))
-    config = MultistartConfig(n_starts=5, seed=2, tolerance=1e-16, max_iters=2)
+    config = MultistartConfig(n_starts=5, seed=2)
+    monkeypatch.setattr(cgf_module, "_TOLERANCE", 1e-16)
+    monkeypatch.setattr(cgf_module, "_MAX_ITERS", 2)
     with pytest.raises(ConvergenceError) as exc_info:
         maximize_cgf(data, 1.0, config)
     partial = exc_info.value.partial
@@ -309,7 +314,7 @@ def test_maximize_raises_when_nothing_converges():
                                   _batch_cgf(data.values, 1.0, partial.directions))
 
 
-def test_refine_direction_warm_start():
+def test_refine_direction_warm_start(monkeypatch):
     rng = np.random.default_rng(13)
     X = rng.normal(size=(60, 3))
     X = X - X.mean(axis=0)
@@ -318,20 +323,32 @@ def test_refine_direction_warm_start():
     assert converged and iters >= 1
     assert abs(np.linalg.norm(theta) - 1.0) < 1e-12
     # unconverged refinement still returns the final iterate
-    theta1, iters1, converged1 = refine_direction(X, 1.0, theta0, max_iters=1)
+    monkeypatch.setattr(cgf_module, "_MAX_ITERS", 1)
+    theta1, iters1, converged1 = refine_direction(X, 1.0, theta0)
     assert not converged1 and iters1 == 1
     assert abs(np.linalg.norm(theta1) - 1.0) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(heavy=st.booleans(), T=st.integers(2, 200), n=st.integers(1, 8),
+       r=st.floats(0.05, 5.0), seed=st.integers(0, 2**32 - 1))
+def test_phi_never_lowers_the_cgf(heavy, T, n, r, seed):
+    # Phi = grad F / ||grad F|| for the convex F = G + (r/2)||theta||^2 (module docstring)
+    rng = np.random.default_rng(seed)
+    if heavy:
+        X = rng.standard_t(2.0, size=(T, n))
+    else:
+        X = rng.exponential(size=(T, n)) * rng.uniform(0.2, 2.0, n)
+    data = DataMatrix(X)
+    theta = sample_unit_sphere(n, 1, seed)[0]
+    g = cgf_estimate(data, r, theta)
+    phi = unit_vector(theta + cgf_gradient(data, r, theta) / r)
+    assert cgf_estimate(data, r, phi) >= g - 1e-12 * max(1.0, abs(g))
 
 
 def test_multistart_config_validation():
     with pytest.raises(ValueError):
         MultistartConfig(n_starts=0)
-    with pytest.raises(ValueError):
-        MultistartConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        MultistartConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        MultistartConfig(dedup_cos=1.5)
 
 
 def test_unit_vector():
@@ -374,11 +391,11 @@ def test_maximize_with_more_starts_than_a_block(monkeypatch):
 
 
 def test_refine_satisfies_first_order_condition_and_ascends():
-    tol, r = 1e-7, 1.2
+    tol, r = cgf_module._TOLERANCE, 1.2
     for seed in range(5):
         data = _skewed_data(seed)
         start = sample_unit_sphere(3, 1, seed=seed)[0]
-        theta, used, converged = refine_direction(data.values, r, start, tolerance=tol)
+        theta, used, converged = refine_direction(data.values, r, start)
         assert converged and used >= 1
         assert abs(np.linalg.norm(theta) - 1.0) < 1e-12
         grad = cgf_gradient(data, r, theta)
@@ -449,20 +466,22 @@ def test_refine_counts_every_kernel_call(monkeypatch):
         _, used, _ = refine_direction(data.values, 1.5, sample_unit_sphere(3, 1, seed=seed)[0])
         assert used == len(calls)
         calls.clear()
-        _, used, _ = refine_direction(data.values, 1.5, np.ones(3), max_iters=3)
+        with monkeypatch.context() as m:
+            m.setattr(cgf_module, "_MAX_ITERS", 3)
+            _, used, _ = refine_direction(data.values, 1.5, np.ones(3))
         assert used == len(calls) <= 3
 
 
 def _solo_maxima(data: DataMatrix, r: float, config: MultistartConfig):
     # maximize_cgf without merging: each start ascends alone, then the same dedup
     X = data.values
-    runs = [_ascend(X, r, s[None, :], config.tolerance, config.max_iters)
+    runs = [_ascend(X, r, s[None, :], cgf_module._TOLERANCE, cgf_module._MAX_ITERS)
             for s in sample_unit_sphere(X.shape[1], config.n_starts, config.seed)]
     ends = np.array([run[0][0] for run in runs if run[3][0]])
     values = _batch_cgf(X, r, ends)
     kept: list[int] = []
     for i in np.argsort(-values, kind="stable"):
-        if not kept or np.abs(ends[kept] @ ends[i]).max() <= config.dedup_cos:
+        if not kept or np.abs(ends[kept] @ ends[i]).max() <= cgf_module._DEDUP_COS:
             kept.append(int(i))
     return ends[kept], values[kept], sum(run[5] for run in runs)
 
@@ -498,15 +517,16 @@ def test_merged_multistart_matches_solo_runs():
         np.testing.assert_allclose(result.cgf_values, values, rtol=0, atol=1e-10)
 
 
-def test_start_counts_partition_the_starts():
+def test_start_counts_partition_the_starts(monkeypatch):
     rng = np.random.default_rng(43)
     data = center(DataMatrix(rng.normal(size=(120, 4)) * np.array([1.5, 1.0, 1.0, 0.7])))
     for max_iters in (25, 10_000):
-        config = MultistartConfig(n_starts=80, seed=43, max_iters=max_iters)
+        monkeypatch.setattr(cgf_module, "_MAX_ITERS", max_iters)
+        config = MultistartConfig(n_starts=80, seed=43)
         result = maximize_cgf(data, 1.1, config)
         starts = sample_unit_sphere(4, config.n_starts, config.seed)
         thetas, values, iters, converged, merged, total, _ = _ascend(
-            data.values, 1.1, starts, config.tolerance, max_iters
+            data.values, 1.1, starts, cgf_module._TOLERANCE, max_iters
         )
         # G only at the converged starts, the candidates; NaN elsewhere
         np.testing.assert_array_equal(values[converged],

@@ -210,20 +210,19 @@ def test_student_t_rejects_small_nu():
 def test_simulation_spec_validation():
     with pytest.raises(ValueError):
         SimulationSpec(family="cauchy", n=2, T=100, seed=0)
-    with pytest.raises(ValueError):  # floor(0.1 * 5) = 0 outlier rows
-        SimulationSpec(family="std_normal", n=4, T=5, seed=0)
-    with pytest.raises(ValueError):  # floor(0.5 * 1) = 0 outlier columns
+    empty = "outlier block is empty: it needs T >= 10 and n >= 2"
+    with pytest.raises(ValueError, match=empty):  # floor(0.1 * 9) = 0 outlier rows
+        SimulationSpec(family="std_normal", n=4, T=9, seed=0)
+    with pytest.raises(ValueError, match=empty):  # floor(0.5 * 1) = 0 outlier columns
         SimulationSpec(family="std_normal", n=1, T=100, seed=0)
+    edge = SimulationSpec(family="std_normal", n=2, T=10, seed=0)
+    assert edge.n_outlier_rows == 1 and edge.n_outlier_cols == 1
     with pytest.raises(ValueError):
         SimulationSpec(family="std_normal", n=2, T=100, seed=0, sigma_mat=2 * np.eye(2))
     with pytest.raises(ValueError):
         SimulationSpec(family="normal", n=2, T=100, seed=0)  # needs sigma_mat
     with pytest.raises(ValueError):
         SimulationSpec(family="normal", n=2, T=100, seed=0, sigma_mat=np.eye(2), nu=5.0)
-    with pytest.raises(ValueError):
-        SimulationSpec(
-            family="std_normal", n=2, T=100, seed=0, alpha=np.ones(2)
-        )  # alpha is skew-only
     spec = SimulationSpec(family="std_normal", n=4, T=20, seed=0)
     assert spec.n_outlier_rows == 2 and spec.n_outlier_cols == 2
 

@@ -416,6 +416,23 @@ def test_cli_runs_as_a_module():
     assert main is cgf_outliers.cli.main and run_cli is cgf_outliers.cli.run_cli
 
 
+def test_cli_sweep_rejects_zero_seeds_as_usage(tmp_path):
+    package_root = os.path.dirname(os.path.dirname(cgf_outliers.__file__))
+    env = {**os.environ, "PYTHONPATH": package_root}
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "cgf_outliers", "sweep", "--dist", "stdnormal", "--n", "3",
+         "--t", "60", "--n-seeds", "0", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "usage",
+                                    "message": "--n-seeds must be >= 1, got 0"}
+    assert not out.exists()
+
+
 def _write_price_fixture(path, seed=5, pre=50, post=20, n=2):
     rng = np.random.default_rng(seed)
     returns = np.concatenate(
