@@ -199,12 +199,24 @@ def _sim_config_echo(args, seed) -> dict:
     }
 
 
-def _detector_config_echo(args, seed) -> dict:
+def _detector_config_echo(args, seed, head: dict) -> dict:
+    """head, then the detector options of a run."""
     return {
+        **head,
         "eps_target": args.eps_target,
         "starts": args.starts,
         "method": args.method,
         "seed": seed,
+    }
+
+
+def _envelope(command: str, config: dict) -> dict:
+    """The head of every JSON report: versions, the command and its config echo."""
+    return {
+        "schema_version": _SCHEMA_VERSION,
+        "package_version": __version__,
+        "command": command,
+        "config": config,
     }
 
 
@@ -228,14 +240,8 @@ def _cmd_detect(args) -> int:
     data = read_data_csv(args.data)
     report = detect(data, _detector_config(args, args.beta, args.seed))
     payload = {
-        "schema_version": _SCHEMA_VERSION,
-        "package_version": __version__,
-        "command": "detect",
-        "config": {
-            "data": str(args.data),
-            "beta": args.beta,
-            **_detector_config_echo(args, args.seed),
-        },
+        **_envelope("detect", _detector_config_echo(
+            args, args.seed, {"data": str(args.data), "beta": args.beta})),
         "r_used": report.r_used,
         "beta": report.beta,
         "method": report.method.value,
@@ -274,16 +280,15 @@ def _grid(args) -> np.ndarray:
     return args.beta_grid if args.beta_grid is not None else default_beta_grid()
 
 
-def _summary_payload(args, command: str, seed: int, curve: RocCurve, extra_config: dict) -> dict:
-    payload = {
-        "schema_version": _SCHEMA_VERSION,
-        "package_version": __version__,
-        "command": command,
-        "config": {
-            **extra_config,
-            "beta_grid": [float(b) for b in _grid(args)],
-            **_detector_config_echo(args, seed),
-        },
+def _evaluate_into(args, out: str, suffix: str, seed: int, dataset: LabeledDataset,
+                   head: dict) -> RocCurve:
+    """Sweep the beta grid on dataset, then write roc<suffix>.csv and summary<suffix>.json."""
+    grid = _grid(args)
+    curve = roc_sweep(dataset, args.method, grid, _detector_config(args, float(grid[0]), seed))
+    write_roc_csv(os.path.join(out, f"roc{suffix}.csv"), curve)
+    summary = {
+        **_envelope(args.command, _detector_config_echo(
+            args, seed, {**head, "beta_grid": [float(b) for b in grid]})),
         "auc": curve.auc,
         "bcv": curve.bcv,
         "beta_star": curve.beta_star,
@@ -291,21 +296,15 @@ def _summary_payload(args, command: str, seed: int, curve: RocCurve, extra_confi
         "failures": [{"beta": b, "message": m} for b, m in curve.failures],
     }
     if args.timings:
-        payload["timings"] = [{"beta": b, "seconds": s} for b, s in curve.timings]
-    return payload
+        summary["timings"] = [{"beta": b, "seconds": s} for b, s in curve.timings]
+    write_json(os.path.join(out, f"summary{suffix}.json"), summary)
+    return curve
 
 
 def _cmd_evaluate(args) -> int:
     out = _outdir(args)
-    dataset = _labeled_from_args(args)
-    config = _detector_config(args, float(_grid(args)[0]), args.seed)
-    curve = roc_sweep(dataset, args.method, _grid(args), config)
-    write_roc_csv(os.path.join(out, "roc.csv"), curve)
-    extra = {"data": str(args.data), "labels": args.labels, "crisis_date": args.crisis_date}
-    write_json(
-        os.path.join(out, "summary.json"),
-        _summary_payload(args, "evaluate", args.seed, curve, extra),
-    )
+    head = {"data": str(args.data), "labels": args.labels, "crisis_date": args.crisis_date}
+    _evaluate_into(args, out, "", args.seed, _labeled_from_args(args), head)
     return 0
 
 
@@ -323,33 +322,20 @@ def _cmd_sweep(args) -> int:
         _emit_error("usage", f"--n-seeds must be >= 1, got {args.n_seeds}")
         return 2
     out = _outdir(args)
-    grid = _grid(args)
     per_seed = []
-    for i in range(args.n_seeds):
-        seed = args.seed + i
+    for seed in range(args.seed, args.seed + args.n_seeds):
         dataset = inject_outliers(_build_spec(args, seed))
-        config = _detector_config(args, float(grid[0]), seed)
-        curve = roc_sweep(dataset, args.method, grid, config)
-        write_roc_csv(os.path.join(out, f"roc_seed{seed}.csv"), curve)
-        write_json(
-            os.path.join(out, f"summary_seed{seed}.json"),
-            _summary_payload(args, "sweep", seed, curve, _sim_config_echo(args, seed)),
-        )
+        curve = _evaluate_into(args, out, f"_seed{seed}", seed, dataset,
+                               _sim_config_echo(args, seed))
         per_seed.append((seed, curve))
 
     aucs = [c.auc for _, c in per_seed]
     bcvs = [c.bcv for _, c in per_seed]
     stars = [c.beta_star for _, c in per_seed]
+    head = {**_sim_config_echo(args, args.seed), "n_seeds": args.n_seeds,
+            "beta_grid": [float(b) for b in _grid(args)]}
     payload = {
-        "schema_version": _SCHEMA_VERSION,
-        "package_version": __version__,
-        "command": "sweep",
-        "config": {
-            **_sim_config_echo(args, args.seed),
-            "n_seeds": args.n_seeds,
-            "beta_grid": [float(b) for b in grid],
-            **_detector_config_echo(args, args.seed),
-        },
+        **_envelope("sweep", _detector_config_echo(args, args.seed, head)),
         "per_seed": [
             {"seed": s, "auc": c.auc, "bcv": c.bcv, "beta_star": c.beta_star}
             for s, c in per_seed

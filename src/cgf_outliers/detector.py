@@ -120,8 +120,11 @@ class DirectionTrace:
     kurtosis_trace: list[float] = field(default_factory=list)
     removed: int = 0
     refine_iterations: int = 0
-    skipped: bool = False
     note: str | None = None
+
+    @property
+    def skipped(self) -> bool:
+        return self.removed == 0
 
 
 @dataclass(eq=False)
@@ -276,13 +279,11 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
         try:
             kur_prev = kurtosis(z)
         except DegenerateInputError:
-            trace.skipped = True
             trace.note = "constant projection"
             warnings.append(f"direction {len(traces)} skipped: constant projection")
             continue
         trace.kurtosis_trace.append(kur_prev)
         if kur_prev <= 3.0 + _GATE_SE * math.sqrt(24.0 / alive.size):
-            trace.skipped = True
             trace.note = "Gaussian projection"
             continue
 
@@ -291,7 +292,6 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
                 q = q_scores(z)
             except DegenerateProjectionError:
                 trace.note = "zero MAD"
-                trace.skipped = not trace.removed
                 warnings.append(f"direction {len(traces)} stopped: zero MAD projection")
                 break
             scores[alive] = q
@@ -303,7 +303,6 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
                 )
             if not bool(out.any()):  # nothing changed to re-estimate on
                 if not trace.removed:
-                    trace.skipped = True
                     trace.note = "no score above beta"
                 break
             flags[alive[out]] = True

@@ -99,7 +99,6 @@ def assemble_curve(
             raise ValueError(f"rates must lie in [0, 1], got {p}")
 
     xy = [(0.0, 0.0)] + [(p.fpr, p.tpr) for p in points] + [(1.0, 1.0)]
-    xy.sort()
     auc = 0.0
     for (x0, y0), (x1, y1) in zip(xy, xy[1:]):
         auc += (x1 - x0) * (y0 + y1) / 2.0

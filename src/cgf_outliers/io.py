@@ -4,6 +4,10 @@ All files are UTF-8 with a header row and '.' decimals. Floats are written
 with repr(), which round-trips exactly through float(), so a file written
 from an array parses back bit-identical and rewriting it reproduces the same
 bytes. Dated tables put the date in the first column, ISO 8601.
+
+Price and data tables are read by one parser: blank lines are skipped, and
+a missing, malformed or non-finite (nan, inf) cell is rejected with an
+error that names the file, its row and its column.
 """
 
 from __future__ import annotations
@@ -77,46 +81,62 @@ class PriceTable:
         object.__setattr__(self, "prices", _readonly(prices))
 
 
-def read_price_csv(path) -> PriceTable:
-    """Parse a prices CSV: header ``date,TICK1,...``; errors carry row/column."""
+def _read_table(path, check_header=None):
+    """Parse a CSV of numbers under a header row whose first column may be 'date'.
+
+    Returns (column names, dates or None, values, file row of each value row);
+    blank lines are skipped. check_header(header) may reject the header first.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty file")
     header = rows[0]
-    if len(header) < 2 or header[0].strip().lower() != "date":
-        raise ValueError(f"{path}: header must be 'date,<ticker>,...', got {header!r}")
-    tickers = tuple(h.strip() for h in header[1:])
-    dates: list[str] = []
-    prices: list[list[float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue  # trailing blank line
+    if check_header is not None:
+        check_header(header)
+    dated = bool(header) and header[0].strip().lower() == "date"
+    names = [h.strip() for h in header[dated:]]
+    if not names:
+        raise ValueError(f"{path}: no variable columns in header {header!r}")
+    body = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2)
+            if any(cell.strip() for cell in row)]
+    if not body:
+        raise ValueError(f"{path}: no data rows")
+    values = np.empty((len(body), len(names)))
+    for i, (lineno, row) in enumerate(body):
         if len(row) != len(header):
             raise ValueError(
                 f"{path} row {lineno}: expected {len(header)} fields, got {len(row)}"
             )
-        dates.append(row[0].strip())
-        parsed_row = []
-        for ticker, cell in zip(tickers, row[1:]):
+        for j, cell in enumerate(row[dated:]):
             cell = cell.strip()
-            if not cell:
-                raise ValueError(f"{path} row {lineno}, column {ticker!r}: missing value")
             try:
-                value = float(cell)
-            except ValueError as err:
-                raise ValueError(
-                    f"{path} row {lineno}, column {ticker!r}: bad number {cell!r}"
-                ) from err
-            if not math.isfinite(value) or value <= 0:
-                raise ValueError(
-                    f"{path} row {lineno}, column {ticker!r}: nonpositive price {cell}"
-                )
-            parsed_row.append(value)
-        prices.append(parsed_row)
-    if not dates:
-        raise ValueError(f"{path}: no data rows")
-    return PriceTable(tuple(dates), np.asarray(prices, dtype=float), tickers)
+                values[i, j] = value = float(cell)
+            except ValueError:
+                problem = f"bad number {cell!r}" if cell else "missing value"
+            else:
+                if math.isfinite(value):
+                    continue
+                problem = f"non-finite number {cell!r}"
+            raise ValueError(f"{path} row {lineno}, column {names[j]!r}: {problem}")
+    dates = tuple(row[0].strip() for _, row in body) if dated else None
+    return names, dates, values, [lineno for lineno, _ in body]
+
+
+def read_price_csv(path) -> PriceTable:
+    """Parse a prices CSV: header ``date,TICK1,...``; errors carry row/column."""
+
+    def check_header(header):
+        if len(header) < 2 or header[0].strip().lower() != "date":
+            raise ValueError(f"{path}: header must be 'date,<ticker>,...', got {header!r}")
+
+    tickers, dates, prices, lines = _read_table(path, check_header)
+    if np.any(prices <= 0):
+        t, j = map(int, np.argwhere(prices <= 0)[0])
+        raise ValueError(
+            f"{path} row {lines[t]}, column {tickers[j]!r}: nonpositive price {prices[t, j]}"
+        )
+    return PriceTable(dates, prices, tickers)
 
 
 def compute_returns(prices: PriceTable, kind: str = "linear") -> DataMatrix:
@@ -173,42 +193,8 @@ def write_data_csv(path, data: DataMatrix) -> None:
 
 def read_data_csv(path) -> DataMatrix:
     """Inverse of write_data_csv; bit-exact round-trip via repr floats."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    header = rows[0]
-    dated = bool(header) and header[0].strip().lower() == "date"
-    first_var = 1 if dated else 0
-    n = len(header) - first_var
-    if n < 1:
-        raise ValueError(f"{path}: no variable columns in header {header!r}")
-    labels: list[str] = []
-    values: list[list[float]] = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path} row {lineno}: expected {len(header)} fields, got {len(row)}"
-            )
-        if dated:
-            labels.append(row[0].strip())
-        parsed_row = []
-        for name, cell in zip(header[first_var:], row[first_var:]):
-            try:
-                parsed_row.append(float(cell))
-            except ValueError as err:
-                raise ValueError(
-                    f"{path} row {lineno}, column {name.strip()!r}: bad number {cell!r}"
-                ) from err
-        values.append(parsed_row)
-    if not values:
-        raise ValueError(f"{path}: no data rows")
-    return DataMatrix(
-        np.asarray(values, dtype=float),
-        row_labels=tuple(labels) if dated else None,
-    )
+    _, dates, values, _ = _read_table(path)
+    return DataMatrix(values, row_labels=dates)
 
 
 def write_labels_csv(path, truth) -> None:

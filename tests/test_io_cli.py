@@ -92,6 +92,27 @@ def test_read_price_csv_errors_cite_row_and_column(tmp_path):
         read_price_csv(path)
 
 
+@pytest.mark.parametrize(
+    "cell, problem",
+    [("nan", "non-finite number 'nan'"), ("inf", "non-finite number 'inf'"),
+     ("-inf", "non-finite number '-inf'"), ("", "missing value")],
+    ids=["nan", "inf", "-inf", "empty"],
+)
+def test_both_readers_reject_non_finite_and_empty_cells(tmp_path, cell, problem):
+    prices = tmp_path / "prices.csv"
+    prices.write_text(f"date,AAA,BBB\n2020-01-01,1.0,2.0\n2020-01-02,1.5,{cell}\n",
+                      encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_price_csv(prices)
+    assert str(err.value) == f"{prices} row 3, column 'BBB': {problem}"
+
+    data = tmp_path / "data.csv"
+    data.write_text(f"x1,x2\n1.0,2.0\n\n{cell},3.0\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        read_data_csv(data)
+    assert str(err.value) == f"{data} row 4, column 'x1': {problem}"
+
+
 # -------------------------------------------------------------------- returns
 
 
@@ -283,6 +304,12 @@ def _simulate(out, seed=0, t=60, n=3) -> int:
     )
 
 
+_ENVELOPE = ["schema_version", "package_version", "command", "config"]
+_SUMMARY = [*_ENVELOPE, "auc", "bcv", "beta_star", "n_points", "failures"]
+_DETECTOR_ECHO = ["eps_target", "starts", "method", "seed"]
+_SIM_ECHO = ["dist", "n", "t", "seed", "nu", "alpha_range", "cov"]
+
+
 def test_cli_simulate_is_byte_deterministic(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert _simulate(a) == 0
@@ -314,10 +341,9 @@ def test_cli_detect_report_schema_and_determinism(tmp_path):
     report = json.loads(first)
     assert report["schema_version"] == 1
     assert report["command"] == "detect"
-    for key in ("package_version", "config", "r_used", "beta", "method",
-                "iterations_total", "n_flagged", "flags", "q_scores",
-                "warnings", "directions"):
-        assert key in report
+    assert list(report) == [*_ENVELOPE, "r_used", "beta", "method", "iterations_total",
+                            "n_flagged", "flags", "q_scores", "warnings", "directions"]
+    assert list(report["config"]) == ["data", "beta", *_DETECTOR_ECHO]
     assert len(report["flags"]) == 60
     assert set(report["flags"]) <= {0, 1}
     assert report["n_flagged"] == sum(report["flags"])
@@ -345,8 +371,9 @@ def test_cli_evaluate_with_labels(tmp_path):
     summary = json.loads((tmp_path / "e1" / "summary.json").read_text(encoding="utf-8"))
     assert summary["command"] == "evaluate"
     assert summary["config"]["beta_grid"] == [2.0, 4.0, 6.0, 8.0]
-    for key in ("auc", "bcv", "beta_star", "n_points", "failures", "timings"):
-        assert key in summary
+    assert list(summary) == [*_SUMMARY, "timings"]
+    assert list(summary["config"]) == ["data", "labels", "crisis_date", "beta_grid",
+                                       *_DETECTOR_ECHO]
     assert 0.0 <= summary["auc"] <= 1.0
     assert len(summary["timings"]) == summary["n_points"]
 
@@ -433,6 +460,23 @@ def test_cli_sweep_rejects_zero_seeds_as_usage(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", ""], ids=["nan", "inf", "empty"])
+def test_cli_rejects_non_finite_and_empty_cells_with_their_place(tmp_path, capsys, cell):
+    problem = f"non-finite number {cell!r}" if cell else "missing value"
+    prices = tmp_path / "prices.csv"
+    prices.write_text(f"date,AAA\n2020-01-01,1.0\n2020-01-02,{cell}\n", encoding="utf-8")
+    assert run_cli(["returns", "--prices", str(prices), "--out", str(tmp_path)]) == 2
+    assert _capture_stderr_json(capsys) == {
+        "error": "ValueError", "message": f"{prices} row 3, column 'AAA': {problem}"}
+
+    data = tmp_path / "data.csv"
+    data.write_text(f"x1,x2\n1.0,2.0\n3.0,{cell}\n", encoding="utf-8")
+    assert run_cli(["detect", "--data", str(data), "--beta", "3", "--starts", "5",
+                    "--out", str(tmp_path)]) == 2
+    assert _capture_stderr_json(capsys) == {
+        "error": "ValueError", "message": f"{data} row 3, column 'x2': {problem}"}
+
+
 def _write_price_fixture(path, seed=5, pre=50, post=20, n=2):
     rng = np.random.default_rng(seed)
     returns = np.concatenate(
@@ -476,6 +520,9 @@ def test_cli_returns_then_crisis_evaluate(tmp_path):
     )
     assert code == 0
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert list(summary) == _SUMMARY  # timings only under --timings
+    assert list(summary["config"]) == ["data", "labels", "crisis_date", "beta_grid",
+                                       *_DETECTOR_ECHO]
     assert summary["config"]["crisis_date"] == crisis
     assert 0.0 <= summary["auc"] <= 1.0
 
@@ -517,9 +564,16 @@ def test_cli_sweep_aggregates(tmp_path):
     assert code == 0
     for seed in (10, 11):
         assert (tmp_path / f"roc_seed{seed}.csv").exists()
-        assert (tmp_path / f"summary_seed{seed}.json").exists()
+        summary = json.loads(
+            (tmp_path / f"summary_seed{seed}.json").read_text(encoding="utf-8"))
+        assert list(summary) == _SUMMARY
+        # the simulation's seed key comes first and the detector echo's value wins
+        assert list(summary["config"]) == [*_SIM_ECHO, "beta_grid", *_DETECTOR_ECHO[:-1]]
+        assert summary["command"] == "sweep" and summary["config"]["seed"] == seed
     sweep = json.loads((tmp_path / "sweep.json").read_text(encoding="utf-8"))
     assert sweep["command"] == "sweep"
+    assert list(sweep) == [*_ENVELOPE, "per_seed", "aggregate"]
+    assert list(sweep["config"]) == [*_SIM_ECHO, "n_seeds", "beta_grid", *_DETECTOR_ECHO[:-1]]
     assert [entry["seed"] for entry in sweep["per_seed"]] == [10, 11]
     agg = sweep["aggregate"]
     for key in ("auc_mean", "auc_min", "auc_max", "bcv_mean", "bcv_min",

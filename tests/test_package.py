@@ -1,7 +1,9 @@
 """The package namespace: one list of public names, built from the modules'."""
 
 import dataclasses
+import importlib.util
 import inspect
+from pathlib import Path
 
 import cgf_outliers
 
@@ -25,3 +27,16 @@ def test_option_surface_is_pinned():
         "family", "n", "T", "seed", "sigma_mat", "nu", "alpha_range"]
     assert list(inspect.signature(cgf_outliers.refine_direction).parameters) == [
         "values", "r", "theta"]
+
+
+def test_every_name_the_benchmark_tracer_patches_resolves():
+    # the tracer swaps these bindings for timing wrappers; a refactor that drops one
+    # would otherwise fail only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.BINDINGS
+    missing = [(module, attr) for module, attr, _ in tracer.BINDINGS
+               if not hasattr(getattr(cgf_outliers, module, None), attr)]
+    assert missing == []
