@@ -155,6 +155,7 @@ def _build_parser() -> _Parser:
 
 
 def _outdir(args) -> str:
+    # called once the outputs are computed, so a failing run leaves no directory
     os.makedirs(args.out, exist_ok=True)
     return args.out
 
@@ -221,22 +222,20 @@ def _envelope(command: str, config: dict) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    out = _outdir(args)
     dataset = inject_outliers(_build_spec(args, args.seed))
+    out = _outdir(args)
     write_data_csv(os.path.join(out, "data.csv"), dataset.data)
     write_labels_csv(os.path.join(out, "labels.csv"), dataset.truth)
     return 0
 
 
 def _cmd_returns(args) -> int:
-    out = _outdir(args)
-    prices = read_price_csv(args.prices)
-    write_data_csv(os.path.join(out, "data.csv"), compute_returns(prices, args.kind))
+    returns = compute_returns(read_price_csv(args.prices), args.kind)
+    write_data_csv(os.path.join(_outdir(args), "data.csv"), returns)
     return 0
 
 
 def _cmd_detect(args) -> int:
-    out = _outdir(args)
     data = read_data_csv(args.data)
     report = detect(data, _detector_config(args, args.beta, args.seed))
     payload = {
@@ -263,14 +262,14 @@ def _cmd_detect(args) -> int:
             for t in report.directions_used
         ],
     }
-    write_json(os.path.join(out, "report.json"), payload)
+    write_json(os.path.join(_outdir(args), "report.json"), payload)
     return 0
 
 
 def _labeled_from_args(args) -> LabeledDataset:
-    data = read_data_csv(args.data)
     if (args.labels is None) == (args.crisis_date is None):
         raise ValueError("evaluate needs exactly one of --labels or --crisis-date")
+    data = read_data_csv(args.data)
     if args.labels is not None:
         return LabeledDataset(data, read_labels_csv(args.labels))
     return label_by_crisis(data, args.crisis_date)
@@ -280,11 +279,12 @@ def _grid(args) -> np.ndarray:
     return args.beta_grid if args.beta_grid is not None else default_beta_grid()
 
 
-def _evaluate_into(args, out: str, suffix: str, seed: int, dataset: LabeledDataset,
+def _evaluate_into(args, suffix: str, seed: int, dataset: LabeledDataset,
                    head: dict) -> RocCurve:
     """Sweep the beta grid on dataset, then write roc<suffix>.csv and summary<suffix>.json."""
     grid = _grid(args)
     curve = roc_sweep(dataset, args.method, grid, _detector_config(args, float(grid[0]), seed))
+    out = _outdir(args)
     write_roc_csv(os.path.join(out, f"roc{suffix}.csv"), curve)
     summary = {
         **_envelope(args.command, _detector_config_echo(
@@ -302,9 +302,8 @@ def _evaluate_into(args, out: str, suffix: str, seed: int, dataset: LabeledDatas
 
 
 def _cmd_evaluate(args) -> int:
-    out = _outdir(args)
     head = {"data": str(args.data), "labels": args.labels, "crisis_date": args.crisis_date}
-    _evaluate_into(args, out, "", args.seed, _labeled_from_args(args), head)
+    _evaluate_into(args, "", args.seed, _labeled_from_args(args), head)
     return 0
 
 
@@ -321,11 +320,10 @@ def _cmd_sweep(args) -> int:
     if args.n_seeds < 1:
         _emit_error("usage", f"--n-seeds must be >= 1, got {args.n_seeds}")
         return 2
-    out = _outdir(args)
     per_seed = []
     for seed in range(args.seed, args.seed + args.n_seeds):
         dataset = inject_outliers(_build_spec(args, seed))
-        curve = _evaluate_into(args, out, f"_seed{seed}", seed, dataset,
+        curve = _evaluate_into(args, f"_seed{seed}", seed, dataset,
                                _sim_config_echo(args, seed))
         per_seed.append((seed, curve))
 
@@ -350,7 +348,7 @@ def _cmd_sweep(args) -> int:
             "beta_star_mode": _beta_star_mode(stars),
         },
     }
-    write_json(os.path.join(out, "sweep.json"), payload)
+    write_json(os.path.join(_outdir(args), "sweep.json"), payload)
     return 0
 
 

@@ -486,14 +486,14 @@ def _solo_maxima(data: DataMatrix, r: float, config: MultistartConfig):
     return ends[kept], values[kept], sum(run[5] for run in runs)
 
 
-def _experiment_data(family: str, seed: int) -> tuple[DataMatrix, float]:
-    # an n=30, T=500 simulation draw as the detector's ascent sees it: unit lambda1
-    spec = SimulationSpec(family=family, n=30, T=500, seed=seed,
+def _experiment_data(family: str, seed: int, T: int = 500) -> tuple[DataMatrix, float]:
+    # an n=30 simulation draw as the detector's ascent sees it: unit lambda1
+    spec = SimulationSpec(family=family, n=30, T=T, seed=seed,
                           sigma_mat=default_covariance(30, 20.0, seed=0),
                           nu=5.0 if family == "student_t" else None)
     data = center(inject_outliers(spec).data)
     lambda1 = covariance_pca(data).lambda1
-    r = select_radius(lambda1, 500, 0.1).r_bar * math.sqrt(lambda1)
+    r = select_radius(lambda1, T, 0.1).r_bar * math.sqrt(lambda1)
     return DataMatrix(data.values / math.sqrt(lambda1)), r
 
 
@@ -554,3 +554,69 @@ def test_only_same_sign_starts_merge():
         assert converged[1] == (sign < 0)
         if sign < 0:
             assert float(thetas[1] @ x_hat) < -1 + 1e-12
+
+
+def _phi_step(data, r: float, theta: np.ndarray) -> float:
+    # ||Phi(theta) - theta|| in float64, from the public gradient
+    phi = unit_vector(theta + cgf_gradient(data, r, theta) / r)
+    return float(np.linalg.norm(phi - theta))
+
+
+def _kernel_calls(monkeypatch) -> list:
+    # record (data dtype, rows) of every kernel call from here on
+    calls: list = []
+    kernel = cgf_module._exp_shifted
+
+    def counted(Xt, r, thetas, out):
+        calls.append((Xt.dtype.name, thetas.shape[0]))
+        return kernel(Xt, r, thetas, out)
+
+    monkeypatch.setattr(cgf_module, "_exp_shifted", counted)
+    return calls
+
+
+def _rows(calls: list, dtype: str) -> int:
+    return sum(rows for name, rows in calls if name == dtype)
+
+
+def test_maxima_are_certified_in_float64_at_detect_scale(monkeypatch):
+    # most updates run in float32, yet every returned maximum is a float64
+    # fixed point to the stopping tolerance, whatever the memory layout
+    calls = _kernel_calls(monkeypatch)
+    data, r = _experiment_data("normal", 7, T=2000)
+    X = data.values
+    config = MultistartConfig(n_starts=200, seed=7)
+    ref = maximize_cgf(np.ascontiguousarray(X), r, config)
+    assert _rows(calls, "float32") > _rows(calls, "float64")
+    assert ref.ascent_violations == 0 and ref.starts_converged >= len(ref) > 1
+    for theta in ref.directions:
+        assert _phi_step(data, r, theta) <= cgf_module._TOLERANCE
+    for layout in (np.asfortranarray(X), DataMatrix(X)):
+        got = maximize_cgf(layout, r, config)
+        assert (got.total_iterations, got.starts_converged, got.starts_merged) == (
+            ref.total_iterations, ref.starts_converged, ref.starts_merged)
+        assert np.array_equal(got.directions, ref.directions)
+
+
+@pytest.mark.parametrize("switch", [cgf_module._SWITCH_STEP, 0.0], ids=["default", "no-step-switch"])
+def test_no_start_stalls_in_float32_at_a_large_radius(monkeypatch, switch):
+    # at switch 0 only the rise test ends a start's float32 phase; without it
+    # starts at r 10 and 100 run float32 updates until _MAX_ITERS. Every start
+    # must converge, on a float64 update, or merge
+    monkeypatch.setattr(cgf_module, "_SWITCH_STEP", switch)
+    calls = _kernel_calls(monkeypatch)
+    data = center(DataMatrix(np.random.default_rng(5).normal(size=(400, 5))))
+    for r in (10.0, 100.0):
+        config = MultistartConfig(n_starts=40, seed=3)
+        result = maximize_cgf(data, r, config)
+        assert result.starts_converged + result.starts_merged == 40
+        assert result.ascent_violations == 0
+        for theta in result.directions:
+            assert _phi_step(data, r, theta) <= cgf_module._TOLERANCE
+        # alone, a start makes one kernel call per update, then the closing G
+        for start in sample_unit_sphere(5, 8, seed=3):
+            calls.clear()
+            converged = _ascend(data.values, r, start[None, :], cgf_module._TOLERANCE,
+                                cgf_module._MAX_ITERS)[3]
+            assert converged[0]
+            assert calls[0][0] == "float32" and calls[-2][0] == calls[-1][0] == "float64"

@@ -460,6 +460,23 @@ def test_cli_sweep_rejects_zero_seeds_as_usage(tmp_path):
     assert not out.exists()
 
 
+def test_cli_failing_runs_leave_no_out_directory(tmp_path, capsys):
+    assert _simulate(tmp_path) == 0
+    both = tmp_path / "both"
+    assert run_cli(["evaluate", "--data", str(tmp_path / "data.csv"),
+                    "--labels", str(tmp_path / "labels.csv"), "--crisis-date", "2020-01-01",
+                    "--out", str(both)]) == 2
+    assert "exactly one" in _capture_stderr_json(capsys)["message"]
+    assert not both.exists()
+
+    data = tmp_path / "nan.csv"
+    data.write_text("x1,x2\n1.0,2.0\n3.0,nan\n", encoding="utf-8")
+    bad = tmp_path / "bad"
+    assert run_cli(["detect", "--data", str(data), "--beta", "3", "--out", str(bad)]) == 2
+    assert _capture_stderr_json(capsys)["error"] == "ValueError"
+    assert not bad.exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", ""], ids=["nan", "inf", "empty"])
 def test_cli_rejects_non_finite_and_empty_cells_with_their_place(tmp_path, capsys, cell):
     problem = f"non-finite number {cell!r}" if cell else "missing value"
