@@ -144,22 +144,20 @@ class MultistartConfig:
 class MaximizerResult:
     """Distinct local maxima found by the multistart, CGF-descending.
 
-    directions[k] is a unit row vector, cgf_values[k] its sample CGF, and
-    iteration_counts[k] the updates its kept start used. total_iterations
-    sums updates over every start, kept, dropped by the dedup or merged;
-    ascent_violations counts iterations whose CGF decreased beyond slack,
-    which Phi rules out in exact arithmetic (module docstring), so a nonzero
-    count flags round-off or a broken kernel. The slack is relative: 1e-12
-    (_ASCENT_SLACK) between two float64 G values, 1e-5 (_COARSE_SLACK) when
-    either was computed in float32; the last step of a merged or unconverged
-    start is checked only when no start converged. Of the
+    directions[k] is a unit row vector and cgf_values[k] its sample CGF.
+    total_iterations sums updates over every start, kept, dropped by the dedup
+    or merged; ascent_violations counts iterations whose CGF decreased beyond
+    slack, which Phi rules out in exact arithmetic (module docstring), so a
+    nonzero count flags round-off or a broken kernel. The slack is relative:
+    1e-12 (_ASCENT_SLACK) between two float64 G values, 1e-5 (_COARSE_SLACK)
+    when either was computed in float32; the last step of a merged or
+    unconverged start is checked only when no start converged. Of the
     n_starts starts, starts_converged converged, starts_merged were retired on
     joining another start's ascent (maximize_cgf), and the rest hit _MAX_ITERS.
     """
 
     directions: np.ndarray
     cgf_values: np.ndarray
-    iteration_counts: np.ndarray
     total_iterations: int = 0
     ascent_violations: int = 0
     starts_converged: int = 0
@@ -168,9 +166,6 @@ class MaximizerResult:
     def __post_init__(self) -> None:
         object.__setattr__(self, "directions", _readonly(self.directions))
         object.__setattr__(self, "cgf_values", _readonly(self.cgf_values))
-        counts = np.array(self.iteration_counts, dtype=int, copy=True)
-        counts.setflags(write=False)
-        object.__setattr__(self, "iteration_counts", counts)
 
     def __len__(self) -> int:
         return self.directions.shape[0]
@@ -242,21 +237,8 @@ def _error_sq(a: float, T: int) -> float:
         return math.inf
 
 
-def _curve_argmin() -> float:
-    # stationarity of (e**a - 1)/a**2: e**a (a - 2) + 2 = 0, bracketed in [1, 2]
-    lo, hi = 1.0, 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if math.exp(mid) * (mid - 2.0) + 2.0 < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15:
-            break
-    return 0.5 * (lo + hi)
-
-
-_A_STAR = _curve_argmin()  # ~1.5936242600400400
+# argmin of the error curve (e**a - 1)/a**2: the root of e**a (a - 2) + 2 = 0
+_A_STAR = 1.5936242600400399
 
 
 def select_radius(lambda1: float, T: int, target_eps: float) -> RadiusSelection:
@@ -328,20 +310,22 @@ def sample_unit_sphere(n: int, count: int, seed: int) -> np.ndarray:
 def _exp_shifted(
     Xt: np.ndarray, r: float, thetas: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Write exp(r * thetas @ Xt - rowmax) into ``out``; return (rowmax, rowsum).
+    """Write exp(r * thetas @ Xt - rowmax) into ``out``; return (G, rowsum).
 
     ``Xt`` is the data transposed, an n x T C-contiguous array, so the product
     streams each variable's T values; r scales the len(thetas) x n directions
     rather than the product. ``out`` is a caller-owned C-contiguous
     len(thetas) x T buffer, the one T-sized array every CGF value, gradient
     and ascent step is read from; callers take weighted row sums as
-    ``Xt @ out.T``.
+    ``Xt @ out.T`` and divide them by rowsum. G = rowmax + ln(rowsum / T) is
+    the sample CGF at each direction, in the dtype of ``Xt``.
     """
     np.matmul(r * thetas, Xt, out=out)
     m = out.max(axis=1)
     out -= m[:, None]
     np.exp(out, out=out)
-    return m, out.sum(axis=1)
+    wsum = out.sum(axis=1)
+    return m + np.log(wsum / out.shape[1]), wsum
 
 
 def _batch_cgf(
@@ -354,8 +338,7 @@ def _batch_cgf(
         buf = np.empty((min(_BLOCK, thetas.shape[0]), X.shape[0]))
     for lo in range(0, thetas.shape[0], _BLOCK):
         block = thetas[lo : lo + _BLOCK]
-        m, wsum = _exp_shifted(Xt, r, block, buf[: block.shape[0]])
-        values[lo : lo + block.shape[0]] = m + np.log(wsum / X.shape[0])
+        values[lo : lo + block.shape[0]] = _exp_shifted(Xt, r, block, buf[: block.shape[0]])[0]
     return values
 
 
@@ -368,28 +351,25 @@ def _fixed_step(cur: np.ndarray, step: np.ndarray) -> np.ndarray:
 
 
 def _ascend(
-    X: np.ndarray,
-    r: float,
-    starts: np.ndarray,
-    tolerance: float,
-    max_iters: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+    X: np.ndarray, r: float, starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Fixed-step projected ascent from each row of ``starts``.
 
     ``X`` holds T x n rows, read through the kernel's n x T layout (module
-    docstring). Returns (final thetas, G at each final theta, per-start update
-    counts, converged mask, merged mask, total updates, ascent violations). G
-    is NaN at the starts that did not converge, unless none did. Every
-    iteration advances all active starts, _BLOCK at a time; rows are
-    arithmetically independent, so a start that is never merged evaluates as
-    it would alone. A start's updates read a float32 copy of the data until
-    one moves it at most _SWITCH_STEP, or raises G by no more than the float32
-    slack; from then on they read the float64 data, and only a float64 update
-    can stop it at ``tolerance``. Thetas are float64 throughout. After each
-    iteration an active start is merged (retired, neither converged nor
-    active) when its signed cosine with a converged start, or with an active
-    start of lower index, is at least _MERGE_COS: it has joined that start's
-    ascent. Total updates include those of merged starts.
+    docstring). Returns (final thetas, G at each final theta, converged mask,
+    merged mask, total updates, ascent violations). G is NaN at the starts
+    that did not converge, unless none did. Every iteration advances all
+    active starts, _BLOCK at a time; rows are arithmetically independent, so
+    a start that is never merged evaluates as it would alone. A start's
+    updates read a float32 copy of the data until one moves it at most
+    _SWITCH_STEP, or raises G by no more than the float32 slack; from then on
+    they read the float64 data, and only a float64 update can stop it at
+    _TOLERANCE. A start still active after _MAX_ITERS updates is neither
+    converged nor merged. Thetas are float64 throughout. After each iteration
+    an active start is merged (retired, neither converged nor active) when
+    its signed cosine with a converged start, or with an active start of
+    lower index, is at least _MERGE_COS: it has joined that start's ascent.
+    Total updates include those of merged starts.
 
     An update whose G falls below the previous update's G by more than the
     slack counts as a violation: _ASCENT_SLACK relative when both values are
@@ -398,32 +378,31 @@ def _ascend(
     Xt = np.ascontiguousarray(X.T)
     thetas = np.array(starts, dtype=float)
     n_starts, T = thetas.shape[0], X.shape[0]
-    iters = np.zeros(n_starts, dtype=int)
     converged = np.zeros(n_starts, dtype=bool)
     merged = np.zeros(n_starts, dtype=bool)
     active = np.ones(n_starts, dtype=bool)
     coarse = np.ones(n_starts, dtype=bool)
     last_g = np.full(n_starts, np.nan)
     last_slack = np.full(n_starts, _ASCENT_SLACK)  # relative slack of the dtype last_g came from
-    violations = 0
+    total = violations = 0
     rows = min(_BLOCK, n_starts)
     buf = np.empty((rows, T))
     kernels = {True: (Xt.astype(np.float32), np.empty((rows, T), np.float32), _COARSE_SLACK),
                False: (Xt, buf, _ASCENT_SLACK)}
 
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         live = np.flatnonzero(active)
         if live.size == 0:
             break
+        total += live.size
         for low, group in ((True, live[coarse[live]]), (False, live[~coarse[live]])):
             Xk, kbuf, rel = kernels[low]
             for lo in range(0, group.size, _BLOCK):
                 idx = group[lo : lo + _BLOCK]
                 cur = thetas[idx]
                 w = kbuf[: idx.size]
-                m, wsum = _exp_shifted(Xk, r, cur.astype(Xk.dtype), w)
+                g_here, wsum = _exp_shifted(Xk, r, cur.astype(Xk.dtype), w)
 
-                g_here = m + np.log(wsum / T)
                 prev = last_g[idx]
                 slack = np.maximum(last_slack[idx], rel) * np.maximum(1.0, np.abs(prev))
                 violations += int(np.sum(g_here < prev - slack))  # NaN compares False
@@ -432,11 +411,10 @@ def _ascend(
                 new = _fixed_step(cur, (Xk @ w.T).T / wsum[:, None])
                 delta = np.linalg.norm(new - cur, axis=1)
                 thetas[idx] = new
-                iters[idx] += 1
                 if low:  # switch at a short step, or where float32 no longer sees G rise
                     coarse[idx[(delta <= _SWITCH_STEP) | (g_here <= prev + slack)]] = False
                     continue
-                done = delta <= tolerance
+                done = delta <= _TOLERANCE
                 converged[idx[done]] = True
                 active[idx[done]] = False
 
@@ -457,7 +435,7 @@ def _ascend(
     slack = last_slack * np.maximum(1.0, np.abs(last_g))
     violations += int(np.sum(g_final < last_g - slack))  # NaN on either side compares False
 
-    return thetas, g_final, iters, converged, merged, int(iters.sum()), violations
+    return thetas, g_final, converged, merged, total, violations
 
 
 def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> MaximizerResult:
@@ -485,19 +463,13 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
     if not (r > 0):
         raise ValueError("r must be positive")
     starts = sample_unit_sphere(X.shape[1], config.n_starts, config.seed)
-    thetas, values, iters, converged, merged, total, violations = _ascend(
-        X, r, starts, _TOLERANCE, _MAX_ITERS
-    )
+    thetas, values, converged, merged, total, violations = _ascend(X, r, starts)
     counts = dict(total_iterations=total, ascent_violations=violations,
                   starts_converged=int(converged.sum()), starts_merged=int(merged.sum()))
 
     if not converged.any():
-        partial = MaximizerResult(
-            directions=thetas, cgf_values=values, iteration_counts=iters, **counts
-        )
-        raise ConvergenceError(
-            f"no start converged within {_MAX_ITERS} iterations", partial
-        )
+        partial = MaximizerResult(directions=thetas, cgf_values=values, **counts)
+        raise ConvergenceError(f"no start converged within {_MAX_ITERS} iterations", partial)
 
     cand = np.flatnonzero(converged)
     order = cand[np.argsort(-values[cand], kind="stable")]
@@ -507,12 +479,7 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
         if not kept or np.abs(thetas[kept] @ thetas[i]).max() <= _DEDUP_COS:
             kept.append(int(i))
 
-    return MaximizerResult(
-        directions=thetas[kept],
-        cgf_values=values[kept],
-        iteration_counts=iters[kept],
-        **counts,
-    )
+    return MaximizerResult(directions=thetas[kept], cgf_values=values[kept], **counts)
 
 
 def refine_direction(values: np.ndarray, r: float, theta) -> tuple[np.ndarray, int, bool]:
@@ -546,16 +513,14 @@ def refine_direction(values: np.ndarray, r: float, theta) -> tuple[np.ndarray, i
     if not (r > 0):
         raise ValueError("r must be positive")
     Xt = np.ascontiguousarray(np.asarray(values, dtype=float).T)
-    T = Xt.shape[1]
-    buf = np.empty((1, T))
+    buf = np.empty((1, Xt.shape[1]))
 
     def evaluate(th: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        m, wsum = _exp_shifted(Xt, r, th[None, :], buf)
+        g, wsum = _exp_shifted(Xt, r, th[None, :], buf)
         mu = (Xt @ buf[0]) / wsum[0]
-        g = float(m[0] + np.log(wsum[0] / T))
         v = th + mu  # Phi(th) = v / ||v||, or th where v is exactly zero
         norm = math.sqrt(v @ v)
-        return g, r * (mu - (th @ mu) * th), v / norm if norm > 0.0 else th
+        return float(g[0]), r * (mu - (th @ mu) * th), v / norm if norm > 0.0 else th
 
     theta = unit_vector(theta)
     g, grad, phi = evaluate(theta)

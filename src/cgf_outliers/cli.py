@@ -30,6 +30,7 @@ from .evaluation import RocCurve, default_beta_grid, roc_sweep
 from .io import (
     compute_returns,
     label_by_crisis,
+    read_cov_csv,
     read_data_csv,
     read_labels_csv,
     read_price_csv,
@@ -75,13 +76,6 @@ def _parse_grid(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"expected lo:step:hi, got {text!r}")
     return default_beta_grid(float(parts[0]), float(parts[1]), float(parts[2]))
-
-
-def _read_cov(path) -> np.ndarray:
-    sigma = np.loadtxt(path, delimiter=",", ndmin=2)
-    if sigma.shape[0] != sigma.shape[1]:
-        raise ValueError(f"{path}: covariance must be square, got {sigma.shape}")
-    return sigma
 
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
@@ -163,7 +157,7 @@ def _outdir(args) -> str:
 def _build_spec(args, seed: int) -> SimulationSpec:
     family = _DIST[args.dist]
     if args.cov is not None:
-        sigma = _read_cov(args.cov)
+        sigma = read_cov_csv(args.cov)
     elif family == "std_normal":
         sigma = None
     else:

@@ -4,23 +4,26 @@ Detection runs in two steps. `fit` does everything that does not depend on
 the threshold beta: it centers the data once, picks the projection radius
 from the relative-error rule, and pairs candidate directions (multistart CGF
 maxima, or PC1 for the baseline) with the method's re-estimator. `remove`
-then runs the removal loop at one beta. For each direction, taken in
-CGF-descending order, observations are scored by
+then runs the removal loop at one beta, over the directions in
+CGF-descending order. Each direction makes passes, and every pass takes the
+same steps:
 
-    q_t = |z_t - median(Z)| / MAD(Z)
+1. project the m surviving rows on the direction, giving Z;
+2. take the kurtosis of Z; a projection that has none (constant, or fewer
+   than 2 rows) ends the direction;
+3. test it: the first pass skips a direction whose kurtosis is at most
+   3 + 3 * sqrt(24 / m) (the normal value plus three standard errors), since
+   it would only strip the normal tail beyond beta MADs; a later pass ends
+   the direction unless the kurtosis fell strictly below the previous pass's
+   and at least 3 rows remain to score;
+4. score every row by q_t = |z_t - median(Z)| / MAD(Z), remove the rows
+   above beta, and re-estimate the direction on the rows that remain.
 
-on the projection Z and removed while they exceed the threshold beta. A
-direction along which the m surviving rows project with a Gaussian-looking
-kurtosis, at most 3 + 3 * sqrt(24 / m) (the normal value plus three standard
-errors), is skipped: it would only strip the normal tail beyond beta MADs.
-After each pass the direction is re-estimated on the surviving rows, and the
-loop continues only while the projection's kurtosis strictly decreases. A
-pass that removes nothing ends the direction, the first pass included, since
-the rows it would re-estimate on are unchanged. Removals accumulate across
-directions, and every removed row is reported as an outlier of the original
-matrix.
-`detect` is `remove(fit(data, config), config.beta)`; a beta sweep fits once
-and removes once per beta.
+A pass that removes nothing ends the direction, the first pass included,
+since the rows it would re-estimate on are unchanged. Removals accumulate
+across directions, and every removed row is reported as an outlier of the
+original matrix. `detect` is `remove(fit(data, config), config.beta)`; a
+beta sweep fits once and removes once per beta.
 
 The CGF ascent runs on the centered data divided by sqrt(lambda1), at radius
 r * sqrt(lambda1): G and the q-scores are unchanged, and the ascent's path no
@@ -266,28 +269,37 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
 
     for theta0, cgf_value in fitted.candidates:
         if alive.size < 3:
-            warnings.append(
-                f"{alive.size} rows remain; stopping before direction {len(traces) + 1}"
-            )
+            warnings.append(f"{alive.size} rows remain; "
+                            f"stopping before direction {len(traces) + 1}")
             break
-        trace = DirectionTrace(
-            initial_direction=theta0, final_direction=theta0, cgf_value=cgf_value
-        )
+        trace = DirectionTrace(initial_direction=theta0, final_direction=theta0,
+                               cgf_value=cgf_value)
         traces.append(trace)
         theta = theta0
-        z = Y @ theta
-        try:
-            kur_prev = kurtosis(z)
-        except DegenerateInputError:
-            trace.note = "constant projection"
-            warnings.append(f"direction {len(traces)} skipped: constant projection")
-            continue
-        trace.kurtosis_trace.append(kur_prev)
-        if kur_prev <= 3.0 + _GATE_SE * math.sqrt(24.0 / alive.size):
-            trace.note = "Gaussian projection"
-            continue
+        while True:  # one pass; pass 0 is the one before any row is removed
+            z = Y @ theta
+            try:
+                kur = kurtosis(z)
+            except ValueError:  # zero variance, or fewer than 2 rows
+                if trace.removed:
+                    trace.note = "projection degenerated during the loop"
+                    warnings.append(f"direction {len(traces)} stopped: degenerate projection")
+                else:
+                    trace.note = "constant projection"
+                    warnings.append(f"direction {len(traces)} skipped: constant projection")
+                break
+            trace.kurtosis_trace.append(kur)
+            if not trace.removed:
+                if kur <= 3.0 + _GATE_SE * math.sqrt(24.0 / alive.size):
+                    trace.note = "Gaussian projection"
+                    break
+            elif not kur < kur_prev:
+                break  # kurtosis stopped falling: this direction is exhausted
+            elif alive.size < 3:
+                trace.note = "too few rows to keep scoring"
+                break
+            kur_prev = kur
 
-        while True:  # enters at least once (the i = 0 pass)
             try:
                 q = q_scores(z)
             except DegenerateProjectionError:
@@ -307,9 +319,7 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
                 break
             flags[alive[out]] = True
             trace.removed += int(out.sum())
-            keep = ~out
-            Y = Y[keep]
-            alive = alive[keep]
+            Y, alive = Y[~out], alive[~out]
 
             step = fitted.reestimate(Y, theta)
             if step is None:
@@ -320,21 +330,6 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
             iterations_total += used
             nonconverged += not converged
             trace.final_direction = theta
-
-            z = Y @ theta
-            try:
-                kur = kurtosis(z)
-            except (DegenerateInputError, ValueError):
-                trace.note = "projection degenerated during the loop"
-                warnings.append(f"direction {len(traces)} stopped: degenerate projection")
-                break
-            trace.kurtosis_trace.append(kur)
-            if not (kur < kur_prev):
-                break  # kurtosis stopped falling: this direction is exhausted
-            kur_prev = kur
-            if alive.size < 3:
-                trace.note = "too few rows to keep scoring"
-                break
 
     if nonconverged:
         warnings.append(

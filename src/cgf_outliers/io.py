@@ -5,9 +5,10 @@ with repr(), which round-trips exactly through float(), so a file written
 from an array parses back bit-identical and rewriting it reproduces the same
 bytes. Dated tables put the date in the first column, ISO 8601.
 
-Price and data tables are read by one parser: blank lines are skipped, and
-a missing, malformed or non-finite (nan, inf) cell is rejected with an
-error that names the file, its row and its column.
+Price, data and covariance tables are read by one parser: blank lines are
+skipped, and a missing, malformed or non-finite (nan, inf) cell is rejected
+with an error that names the file, its row and its column. A covariance
+table has no header; its columns are named '1', '2', ... by position.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "label_by_crisis",
     "write_data_csv",
     "read_data_csv",
+    "read_cov_csv",
     "write_labels_csv",
     "read_labels_csv",
     "write_roc_csv",
@@ -81,16 +83,19 @@ class PriceTable:
         object.__setattr__(self, "prices", _readonly(prices))
 
 
-def _read_table(path, check_header=None):
+def _read_table(path, check_header=None, headerless=False):
     """Parse a CSV of numbers under a header row whose first column may be 'date'.
 
     Returns (column names, dates or None, values, file row of each value row);
     blank lines are skipped. check_header(header) may reject the header first.
+    A headerless table's first row is data, its columns named by position.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ValueError(f"{path}: empty file")
+    if headerless:
+        rows.insert(0, [str(j + 1) for j in range(len(rows[0]))])
     header = rows[0]
     if check_header is not None:
         check_header(header)
@@ -98,7 +103,7 @@ def _read_table(path, check_header=None):
     names = [h.strip() for h in header[dated:]]
     if not names:
         raise ValueError(f"{path}: no variable columns in header {header!r}")
-    body = [(lineno, row) for lineno, row in enumerate(rows[1:], start=2)
+    body = [(lineno, row) for lineno, row in enumerate(rows[1:], start=1 if headerless else 2)
             if any(cell.strip() for cell in row)]
     if not body:
         raise ValueError(f"{path}: no data rows")
@@ -195,6 +200,14 @@ def read_data_csv(path) -> DataMatrix:
     """Inverse of write_data_csv; bit-exact round-trip via repr floats."""
     _, dates, values, _ = _read_table(path)
     return DataMatrix(values, row_labels=dates)
+
+
+def read_cov_csv(path) -> np.ndarray:
+    """A headerless n x n matrix, such as a covariance; errors carry row/column."""
+    _, _, sigma, _ = _read_table(path, headerless=True)
+    if sigma.shape[0] != sigma.shape[1]:
+        raise ValueError(f"{path}: covariance must be square, got {sigma.shape}")
+    return sigma
 
 
 def write_labels_csv(path, truth) -> None:

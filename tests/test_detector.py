@@ -364,6 +364,47 @@ def test_gaussian_projection_is_skipped_without_scoring():
         assert trace.final_direction is trace.initial_direction
 
 
+def test_every_exit_of_remove_is_pinned():
+    # 40 standard-normal rows with planted outliers and an all-zero fourth
+    # column; the PCA fit has one candidate, and each case swaps the
+    # candidates or the re-estimator of that one fit
+    ds = inject_outliers(SimulationSpec(family="std_normal", n=3, T=40, seed=1))
+    fitted = fit(DataMatrix(np.column_stack([ds.data.values, np.zeros(40)])),
+                 DetectorConfig(beta=3.0, method="pca"))
+    zero_axis = np.eye(4)[3]
+    head = list(fitted.warnings)
+    assert fitted.iterations == 0 and len(head) == 1  # the infeasible-radius warning
+
+    def run(beta, **swap):
+        report = remove(replace(fitted, **swap), beta)
+        exits = [(t.note, len(t.kurtosis_trace), t.removed, t.refine_iterations)
+                 for t in report.directions_used]
+        assert report.iterations_total == sum(e[3] for e in exits)
+        return exits, report.warnings[len(head):]
+
+    # the candidate itself projects to a constant: no kurtosis, no scoring
+    assert run(3.0, candidates=((zero_axis, None),)) == (
+        [("constant projection", 0, 0, 0)], ["direction 1 skipped: constant projection"])
+    # the first re-estimate lands on the zero column
+    assert run(3.0, reestimate=lambda Y, theta: (zero_axis, 7, True)) == (
+        [("projection degenerated during the loop", 1, 4, 7)],
+        ["direction 1 stopped: degenerate projection"])
+    # a re-estimator that keeps the direction peels down to one row, whose
+    # kurtosis is undefined
+    assert run(0.5, reestimate=lambda Y, theta: (theta, 1, True)) == (
+        [("projection degenerated during the loop", 3, 39, 3)],
+        ["direction 1 stopped: degenerate projection"])
+    # PC1 of one row is undefined; the second copy of the candidate is never reached
+    twice = fitted.candidates * 2
+    assert run(0.5, candidates=twice) == (
+        [("too few rows to re-estimate", 3, 39, 2)],
+        ["1 rows remain; stopping before direction 2"])
+    # the kurtosis of the last two rows still fell, but two rows cannot be scored
+    assert run(0.55, candidates=twice) == (
+        [("too few rows to keep scoring", 4, 38, 3)],
+        ["2 rows remain; stopping before direction 2"])
+
+
 def test_clean_correlated_normal_flag_rate_is_bounded():
     # no outliers planted: every flag is a false positive. The bound is three
     # quarters of the 22.0% mean that removal along every multistart maximum

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -492,6 +493,42 @@ def test_cli_rejects_non_finite_and_empty_cells_with_their_place(tmp_path, capsy
                     "--out", str(tmp_path)]) == 2
     assert _capture_stderr_json(capsys) == {
         "error": "ValueError", "message": f"{data} row 3, column 'x2': {problem}"}
+
+
+def _simulate_with_cov(tmp_path, text: str, out: str) -> int:
+    cov = tmp_path / "cov.csv"
+    cov.write_text(text, encoding="utf-8")
+    return run_cli(["simulate", "--dist", "normal", "--n", "2", "--t", "60",
+                    "--cov", str(cov), "--out", str(tmp_path / out)])
+
+
+def test_cli_cov_file_is_read_bit_exact(tmp_path):
+    # the default covariance written with repr floats reproduces the default run
+    sigma = cgf_outliers.default_covariance(2, condition=20.0, seed=0)
+    text = "\n".join(",".join(repr(float(v)) for v in row) for row in sigma) + "\n"
+    assert _simulate_with_cov(tmp_path, text, "cov") == 0
+    assert run_cli(["simulate", "--dist", "normal", "--n", "2", "--t", "60",
+                    "--out", str(tmp_path / "default")]) == 0
+    for name in ("data.csv", "labels.csv"):
+        assert (tmp_path / "cov" / name).read_bytes() == (tmp_path / "default" / name).read_bytes()
+
+
+@pytest.mark.parametrize("text, place", [
+    ("1.0,0.5\n0.5,nan\n", " row 2, column '2': non-finite number 'nan'"),
+    ("x,0.5\n0.5,1.0\n", " row 1, column '1': bad number 'x'"),
+    ("1.0,0.5\n\n0.5,\n", " row 3, column '2': missing value"),
+    ("1.0,0.5\n0.5\n", " row 2: expected 2 fields, got 1"),
+    ("1.0,0.5,0.0\n0.5,1.0,0.0\n", ": covariance must be square, got (2, 3)"),
+    ("", ": empty file"),
+], ids=["nan", "bad", "missing", "short-row", "not-square", "empty"])
+def test_cli_cov_errors_name_their_place_in_one_line(tmp_path, capsys, text, place):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print a second stderr line
+        assert _simulate_with_cov(tmp_path, text, "out") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [json.loads(line) for line in lines] == [
+        {"error": "ValueError", "message": f"{tmp_path / 'cov.csv'}{place}"}]
+    assert not (tmp_path / "out").exists()
 
 
 def _write_price_fixture(path, seed=5, pre=50, post=20, n=2):
