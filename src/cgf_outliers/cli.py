@@ -64,18 +64,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _parse_pair(text: str) -> tuple[float, float]:
+def _parse_floats(text: str, form: str = "lo:hi") -> list[float]:
+    # argparse prints an ArgumentTypeError's text; for a ValueError it names only the function
     parts = text.split(":")
-    if len(parts) != 2:
-        raise ValueError(f"expected lo:hi, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        if len(parts) == form.count(":") + 1:
+            return [float(part) for part in parts]
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}")
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"expected lo:step:hi, got {text!r}")
-    return default_beta_grid(float(parts[0]), float(parts[1]), float(parts[2]))
+    try:
+        return default_beta_grid(*_parse_floats(text, "lo:step:hi"))
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
 
 
 def _add_sim_args(p: argparse.ArgumentParser) -> None:
@@ -85,7 +89,7 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--nu", type=float, default=None, help="Student-t degrees of freedom")
     p.add_argument(
         "--alpha-range",
-        type=_parse_pair,
+        type=_parse_floats,
         default=(-1.0, 4.0),
         metavar="LO:HI",
         help="skew-normal shape drawn uniformly from this interval (use --alpha-range=-1:4)",

@@ -8,22 +8,22 @@ then runs the removal loop at one beta, over the directions in
 CGF-descending order. Each direction makes passes, and every pass takes the
 same steps:
 
-1. project the m surviving rows on the direction, giving Z;
-2. take the kurtosis of Z; a projection that has none (constant, or fewer
-   than 2 rows) ends the direction;
+1. project the m surviving rows on the direction, giving Z; a direction is
+   reached only while at least 3 rows survive;
+2. take the kurtosis of Z; a constant projection ends the direction;
 3. test it: the first pass skips a direction whose kurtosis is at most
    3 + 3 * sqrt(24 / m) (the normal value plus three standard errors), since
    it would only strip the normal tail beyond beta MADs; a later pass ends
-   the direction unless the kurtosis fell strictly below the previous pass's
-   and at least 3 rows remain to score;
-4. score every row by q_t = |z_t - median(Z)| / MAD(Z), remove the rows
-   above beta, and re-estimate the direction on the rows that remain.
+   the direction unless the kurtosis fell strictly below the previous pass's;
+4. score every row by q_t = |z_t - median(Z)| / MAD(Z) and remove the rows
+   above beta; the direction ends if fewer than 3 rows remain, and is
+   re-estimated on them otherwise, so every pass scores at least 3 rows.
 
 A pass that removes nothing ends the direction, the first pass included,
 since the rows it would re-estimate on are unchanged. Removals accumulate
-across directions, and every removed row is reported as an outlier of the
-original matrix. `detect` is `remove(fit(data, config), config.beta)`; a
-beta sweep fits once and removes once per beta.
+across directions, and every row scored above beta is reported as an outlier
+of the original matrix. `detect` is `remove(fit(data, config), config.beta)`;
+a beta sweep fits once and removes once per beta.
 
 The CGF ascent runs on the centered data divided by sqrt(lambda1), at radius
 r * sqrt(lambda1): G and the q-scores are unchanged, and the ascent's path no
@@ -64,7 +64,6 @@ __all__ = [
     "DirectionTrace",
     "DetectionReport",
     "FittedDetector",
-    "DegenerateProjectionError",
     "DetectionError",
     "q_scores",
     "fit",
@@ -73,10 +72,6 @@ __all__ = [
 ]
 
 _GATE_SE = 3.0  # standard errors of the normal kurtosis above 3 a direction must reach
-
-
-class DegenerateProjectionError(ValueError):
-    """A projection with MAD = 0 carries no outlyingness information."""
 
 
 class DetectionError(RuntimeError):
@@ -136,7 +131,7 @@ class DetectionReport:
 
     q_scores holds each observation's last computed score: the score that
     removed it, or its score in the final surviving projection. Rows that were
-    never scored (data exhausted before any scoring) keep NaN.
+    never scored keep NaN. outlier_flags is q_scores > beta.
     iterations_total counts every ascent map evaluation spent (multistart
     updates plus re-estimation kernel calls, backtracking trials included;
     the PCA baseline counts one per re-estimation). r_used is the projection
@@ -164,15 +159,15 @@ class FittedDetector:
     """The beta-free part of detection; `remove` reads it and never changes it.
 
     candidates are (direction, CGF value or None) in loop order. reestimate
-    maps (cleaned rows, direction) to (direction, evaluations, converged), or
-    to None when too few rows remain. iterations and warnings open every report.
+    maps the cleaned rows (at least 3) and a direction to (direction,
+    evaluations, converged); iterations and warnings open every report.
     """
 
-    config: DetectorConfig
+    method: DetectionMethod
     centered: DataMatrix
     radius: RadiusSelection
     candidates: tuple[tuple[np.ndarray, float | None], ...]
-    reestimate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int, bool] | None]
+    reestimate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int, bool]]
     iterations: int
     warnings: tuple[str, ...]
 
@@ -184,7 +179,7 @@ def q_scores(z) -> np.ndarray:
         raise ValueError("q-scores need at least 3 observations")
     med, mad = median_and_mad(arr)
     if mad == 0.0:
-        raise DegenerateProjectionError("projection has zero MAD")
+        raise DegenerateInputError("projection has zero MAD")
     return np.abs(arr - med) / mad
 
 
@@ -244,11 +239,9 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
 
         def reestimate(Y, theta):
             # covariance_pca's PC1 without its wrappers: Y are rows fit already validated
-            if Y.shape[0] < 2:
-                return None
             return _fix_sign(_covariance_eigh(Y)[2][:, -1]), 1, True
 
-    return FittedDetector(config, centered, r_sel, candidates, reestimate, iterations,
+    return FittedDetector(config.method, centered, r_sel, candidates, reestimate, iterations,
                           tuple(warnings))
 
 
@@ -256,14 +249,11 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
     """Run the removal loop at threshold beta; one fit serves any number of betas."""
     if not (beta > 0):
         raise ValueError("beta must be positive")
-    T = fitted.centered.n_obs
     warnings = list(fitted.warnings)
-    iterations_total = fitted.iterations
     nonconverged = 0
 
-    flags = np.zeros(T, dtype=bool)
-    scores = np.full(T, np.nan)
-    alive = np.arange(T)
+    scores = np.full(fitted.centered.n_obs, np.nan)
+    alive = np.arange(scores.size)
     Y = fitted.centered.values
     traces: list[DirectionTrace] = []
 
@@ -280,7 +270,7 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
             z = Y @ theta
             try:
                 kur = kurtosis(z)
-            except ValueError:  # zero variance, or fewer than 2 rows
+            except ValueError:  # zero variance, or a non-finite direction
                 if trace.removed:
                     trace.note = "projection degenerated during the loop"
                     warnings.append(f"direction {len(traces)} stopped: degenerate projection")
@@ -293,16 +283,12 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
                 if kur <= 3.0 + _GATE_SE * math.sqrt(24.0 / alive.size):
                     trace.note = "Gaussian projection"
                     break
-            elif not kur < kur_prev:
+            elif not kur < trace.kurtosis_trace[-2]:
                 break  # kurtosis stopped falling: this direction is exhausted
-            elif alive.size < 3:
-                trace.note = "too few rows to keep scoring"
-                break
-            kur_prev = kur
 
             try:
                 q = q_scores(z)
-            except DegenerateProjectionError:
+            except DegenerateInputError:
                 trace.note = "zero MAD"
                 warnings.append(f"direction {len(traces)} stopped: zero MAD projection")
                 break
@@ -317,17 +303,14 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
                 if not trace.removed:
                     trace.note = "no score above beta"
                 break
-            flags[alive[out]] = True
             trace.removed += int(out.sum())
             Y, alive = Y[~out], alive[~out]
-
-            step = fitted.reestimate(Y, theta)
-            if step is None:
-                trace.note = "too few rows to re-estimate"
+            if alive.size < 3:
+                trace.note = "too few rows to keep scoring"
                 break
-            theta, used, converged = step
+
+            theta, used, converged = fitted.reestimate(Y, theta)
             trace.refine_iterations += used
-            iterations_total += used
             nonconverged += not converged
             trace.final_direction = theta
 
@@ -336,13 +319,13 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
             f"{nonconverged} re-estimation(s) hit max_iters={cgf._MAX_ITERS} without converging"
         )
     return DetectionReport(
-        outlier_flags=flags,
+        outlier_flags=scores > beta,
         q_scores=scores,
         directions_used=traces,
         r_used=fitted.radius.r_bar,
-        iterations_total=iterations_total,
+        iterations_total=fitted.iterations + sum(t.refine_iterations for t in traces),
         beta=beta,
-        method=fitted.config.method,
+        method=fitted.method,
         warnings=warnings,
     )
 

@@ -7,7 +7,7 @@ import pytest
 
 from cgf_outliers import (
     DataMatrix,
-    DegenerateProjectionError,
+    DegenerateInputError,
     DetectionError,
     DetectionMethod,
     DetectorConfig,
@@ -35,7 +35,7 @@ def test_q_scores_hand_values():
 
 
 def test_q_scores_degenerate_and_short():
-    with pytest.raises(DegenerateProjectionError):
+    with pytest.raises(DegenerateInputError, match="zero MAD"):
         q_scores([5.0, 5.0, 5.0])
     with pytest.raises(ValueError):
         q_scores([1.0, 2.0])
@@ -249,7 +249,6 @@ def test_pca_reestimate_is_covariance_pca_pc1():
             expected = _fix_sign(covariance_pca(DataMatrix(Y)).pc1)
             assert np.array_equal(direction, expected), (n, size)
             assert (used, converged) == (1, True)
-        assert fitted.reestimate(fitted.centered.values[:1], theta) is None
 
 
 def test_empty_first_pass_skips_the_direction():
@@ -389,20 +388,42 @@ def test_every_exit_of_remove_is_pinned():
     assert run(3.0, reestimate=lambda Y, theta: (zero_axis, 7, True)) == (
         [("projection degenerated during the loop", 1, 4, 7)],
         ["direction 1 stopped: degenerate projection"])
-    # a re-estimator that keeps the direction peels down to one row, whose
-    # kurtosis is undefined
+    # a re-estimator that keeps the direction peels down to one row; the
+    # direction ends there, before a re-estimate on it
     assert run(0.5, reestimate=lambda Y, theta: (theta, 1, True)) == (
-        [("projection degenerated during the loop", 3, 39, 3)],
-        ["direction 1 stopped: degenerate projection"])
-    # PC1 of one row is undefined; the second copy of the candidate is never reached
+        [("too few rows to keep scoring", 3, 39, 2)], [])
+    # the same with PC1 re-estimates; the second copy of the candidate is never reached
     twice = fitted.candidates * 2
     assert run(0.5, candidates=twice) == (
-        [("too few rows to re-estimate", 3, 39, 2)],
+        [("too few rows to keep scoring", 3, 39, 2)],
         ["1 rows remain; stopping before direction 2"])
-    # the kurtosis of the last two rows still fell, but two rows cannot be scored
+    # a pass that leaves two rows ends the direction as well
     assert run(0.55, candidates=twice) == (
-        [("too few rows to keep scoring", 4, 38, 3)],
+        [("too few rows to keep scoring", 3, 38, 2)],
         ["2 rows remain; stopping before direction 2"])
+
+
+def test_every_reestimate_sees_at_least_three_rows():
+    # low betas peel the rows fast; a pass that leaves fewer than 3 rows ends
+    # its direction before the re-estimate, for both methods
+    seen = []
+    for T, seed in [(40, 0), (40, 1), (500, 2)]:
+        ds = inject_outliers(SimulationSpec(family="std_normal", n=3, T=T, seed=seed))
+        for method in ("maxcgf", "pca"):
+            cfg = DetectorConfig(beta=1.0, method=method,
+                                 multistart=MultistartConfig(n_starts=20, seed=seed))
+            fitted, calls = _counting_reestimates(fit(ds.data, cfg))
+            for beta in (0.5, 0.6, 0.75, 1.0):
+                calls.clear()
+                try:
+                    report = remove(fitted, beta)
+                except DetectionError:
+                    continue
+                rows = [size for direction in calls for size in direction]
+                assert min(rows, default=3) >= 3, (T, method, beta)
+                seen += rows
+                assert np.array_equal(report.outlier_flags, report.q_scores > report.beta)
+    assert seen and min(seen) <= 5
 
 
 def test_clean_correlated_normal_flag_rate_is_bounded():

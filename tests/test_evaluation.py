@@ -1,5 +1,6 @@
 """Unit tests for ROC assembly, summary statistics, and the beta sweep."""
 
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -138,7 +139,8 @@ def test_roc_sweep_single_beta_matches_direct_detect():
     grid = [1e-9, 2.0, 4.0, 6.0]
     for method in ("maxcgf", "pca"):
         config = replace(_sweep_config(), method=method)
-        with pytest.warns(UserWarning, match="failed"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the failure is recorded, not warned
             curve = roc_sweep(dataset, method, grid, config)
 
         expected_points, expected_failures = [], []
@@ -172,13 +174,15 @@ def test_roc_sweep_fits_once_per_dataset(monkeypatch):
     assert len(calls) == 1
 
 
-def test_roc_sweep_records_failures_with_warning():
+def test_roc_sweep_records_failures_without_warning():
     dataset = _planted_dataset()
     # a threshold below every q-score strips all rows and the run errors out
-    with pytest.warns(UserWarning, match="failed"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         curve = roc_sweep(dataset, "maxcgf", [1e-9, 4.0], _sweep_config())
     assert len(curve.failures) == 1
-    assert curve.failures[0][0] == 1e-9
+    assert curve.failures[0] == (1e-9, "every remaining observation scored above beta; "
+                                        "nothing would survive")
     assert len(curve.points) == 1
     assert curve.points[0].beta == 4.0
 

@@ -15,8 +15,10 @@ import cgf_outliers
 from cgf_outliers import (
     DataMatrix,
     PriceTable,
+    SimulationSpec,
     assemble_curve,
     compute_returns,
+    inject_outliers,
     jsonify,
     label_by_crisis,
     read_data_csv,
@@ -476,6 +478,46 @@ def test_cli_failing_runs_leave_no_out_directory(tmp_path, capsys):
     assert run_cli(["detect", "--data", str(data), "--beta", "3", "--out", str(bad)]) == 2
     assert _capture_stderr_json(capsys)["error"] == "ValueError"
     assert not bad.exists()
+
+    zero = tmp_path / "zero"
+    assert run_cli(["sweep", "--dist", "stdnormal", "--n", "3", "--t", "60",
+                    "--n-seeds", "0", "--out", str(zero)]) == 2
+    assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+        {"error": "usage", "message": "--n-seeds must be >= 1, got 0"}]
+    assert not zero.exists()
+
+    flat = tmp_path / "flat.csv"
+    flat.write_text("x1,x2\n" + "1.0,2.0\n" * 12, encoding="utf-8")
+    still = tmp_path / "still"
+    assert run_cli(["detect", "--data", str(flat), "--beta", "3", "--out", str(still)]) == 2
+    assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+        {"error": "DegenerateInputError", "message": "data has no variance to project"}]
+    assert not still.exists()
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--alpha-range", "1", "expected lo:hi, got '1'"),
+    ("--alpha-range", "a:b", "expected lo:hi, got 'a:b'"),
+    ("--beta-grid", "1:2", "expected lo:step:hi, got '1:2'"),
+    ("--beta-grid", "3:1:2", "need 0 < lo <= hi and step > 0"),
+])
+def test_cli_range_options_name_the_expected_form(tmp_path, capsys, option, value, message):
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--dist", "skewnormal", "--n", "2", "--t", "40",
+                    f"{option}={value}", "--out", str(out)]) == 2
+    assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
+        {"error": "usage", "message": f"argument {option}: {message}"}]
+    assert not out.exists()
+
+
+def test_cli_simulate_reads_a_negative_alpha_range(tmp_path):
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--dist", "skewnormal", "--n", "2", "--t", "40",
+                    "--alpha-range=-0.5:2", "--out", str(out)]) == 0
+    spec = SimulationSpec(family="skew_normal", n=2, T=40, seed=0, alpha_range=(-0.5, 2.0),
+                          sigma_mat=cgf_outliers.default_covariance(2, condition=20.0, seed=0))
+    assert read_data_csv(out / "data.csv").values.tobytes() == (
+        inject_outliers(spec).data.values.tobytes())
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", ""], ids=["nan", "inf", "empty"])
