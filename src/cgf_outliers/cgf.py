@@ -195,8 +195,6 @@ def cgf_estimate(data: DataMatrix, r: float, theta) -> float:
     X, th = _values_theta(data, theta)
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if r == 0.0:
-        return 0.0
     return float(_batch_cgf(X, r, th[None, :])[0])
 
 
@@ -245,13 +243,13 @@ def select_radius(lambda1: float, T: int, target_eps: float) -> RadiusSelection:
     """Pick the projection radius from the relative-error curve.
 
     The error eps(r) = sqrt(relative_variance(r, lambda1, T)) is U-shaped in
-    a = r**2 * lambda1. If its minimum is at or below ``target_eps``, the
-    LARGEST radius with eps <= target_eps (the root on the increasing branch)
-    is returned, located by doubling + bisection to 1e-8 relative; larger
-    radii weigh higher-order cumulants more, so the budget is spent. If the
-    minimum exceeds the target no radius qualifies: the argmin radius is
-    returned with feasible=False and eps_achieved reporting the attainable
-    minimum.
+    a = r**2 * lambda1. The search starts at its argmin, and feasible says
+    whether eps there is at most ``target_eps``. If so, the LARGEST radius
+    with eps <= target_eps (the root on the increasing branch) is located by
+    doubling + bisection to 1e-8 relative; larger radii weigh higher-order
+    cumulants more, so the budget is spent. If not, no radius qualifies and
+    the argmin radius is kept. Either way eps_achieved is eps at the radius
+    returned: the attainable minimum when infeasible.
     """
     if not (lambda1 > 0):
         raise ValueError("lambda1 must be positive")
@@ -260,36 +258,26 @@ def select_radius(lambda1: float, T: int, target_eps: float) -> RadiusSelection:
     if not (0.0 < target_eps < 1.0):
         raise ValueError("target_eps must lie in (0, 1)")
 
+    # if feasible, bracket and bisect the increasing-branch root: error(a) <= target < error(hi)
     target_sq = target_eps * target_eps
-    eps_min_sq = _error_sq(_A_STAR, T)
-    if eps_min_sq > target_sq:
-        return RadiusSelection(
-            r_bar=math.sqrt(_A_STAR / lambda1),
-            lambda1=lambda1,
-            target_eps=target_eps,
-            feasible=False,
-            eps_achieved=math.sqrt(eps_min_sq),
-        )
-
-    # bracket the increasing-branch root: error(lo) <= target < error(hi)
-    lo = _A_STAR
-    hi = 2.0 * _A_STAR
-    while _error_sq(hi, T) <= target_sq:
-        lo = hi
-        hi *= 2.0
-    while hi - lo > 1e-8 * lo:
-        mid = 0.5 * (lo + hi)
-        if _error_sq(mid, T) <= target_sq:
-            lo = mid
-        else:
-            hi = mid
-    # lo keeps error <= target, so the feasibility invariant holds exactly
+    a = _A_STAR
+    feasible = _error_sq(a, T) <= target_sq
+    if feasible:
+        hi = 2.0 * a
+        while _error_sq(hi, T) <= target_sq:
+            a, hi = hi, 2.0 * hi
+        while hi - a > 1e-8 * a:
+            mid = 0.5 * (a + hi)
+            if _error_sq(mid, T) <= target_sq:
+                a = mid
+            else:
+                hi = mid
     return RadiusSelection(
-        r_bar=math.sqrt(lo / lambda1),
+        r_bar=math.sqrt(a / lambda1),
         lambda1=lambda1,
         target_eps=target_eps,
-        feasible=True,
-        eps_achieved=math.sqrt(_error_sq(lo, T)),
+        feasible=feasible,
+        eps_achieved=math.sqrt(_error_sq(a, T)),
     )
 
 
@@ -357,7 +345,8 @@ def _ascend(
 
     ``X`` holds T x n rows, read through the kernel's n x T layout (module
     docstring). Returns (final thetas, G at each final theta, converged mask,
-    merged mask, total updates, ascent violations). G is NaN at the starts
+    merged mask, total updates, ascent violations); the merged mask is every
+    start neither converged nor still active. G is NaN at the starts
     that did not converge, unless none did. Every iteration advances all
     active starts, _BLOCK at a time; rows are arithmetically independent, so
     a start that is never merged evaluates as it would alone. A start's
@@ -379,7 +368,6 @@ def _ascend(
     thetas = np.array(starts, dtype=float)
     n_starts, T = thetas.shape[0], X.shape[0]
     converged = np.zeros(n_starts, dtype=bool)
-    merged = np.zeros(n_starts, dtype=bool)
     active = np.ones(n_starts, dtype=bool)
     coarse = np.ones(n_starts, dtype=bool)
     last_g = np.full(n_starts, np.nan)
@@ -424,9 +412,7 @@ def _ascend(
         for lo in range(0, live.size, _BLOCK):
             idx = live[lo : lo + _BLOCK]
             near = (thetas[idx] @ anchors >= _MERGE_COS) & (ahead | (pool < idx[:, None]))
-            joined = idx[near.any(axis=1)]
-            merged[joined] = True
-            active[joined] = False
+            active[idx[near.any(axis=1)]] = False
 
     # G at the candidates (every start when none converged), closing their ascent check
     ends = converged if converged.any() else np.ones(n_starts, dtype=bool)
@@ -435,7 +421,7 @@ def _ascend(
     slack = last_slack * np.maximum(1.0, np.abs(last_g))
     violations += int(np.sum(g_final < last_g - slack))  # NaN on either side compares False
 
-    return thetas, g_final, converged, merged, total, violations
+    return thetas, g_final, converged, ~(converged | active), total, violations
 
 
 def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> MaximizerResult:

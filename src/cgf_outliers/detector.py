@@ -93,8 +93,8 @@ class DetectorConfig:
     method: DetectionMethod = DetectionMethod.MAX_CGF
 
     def __post_init__(self) -> None:
-        if not (self.beta > 0):
-            raise ValueError("beta must be positive")
+        if not (0 < self.beta < math.inf):
+            raise ValueError("beta must be positive and finite")
         if not (0.0 < self.target_eps < 1.0):
             raise ValueError("target_eps must lie in (0, 1)")
         object.__setattr__(self, "method", DetectionMethod(self.method))
@@ -106,10 +106,10 @@ class DirectionTrace:
 
     kurtosis_trace starts with the projection's kurtosis on the rows alive when
     the direction is reached and gains one entry per re-estimate. skipped means
-    no row was removed along it, and then it was never re-estimated; note says
-    why the direction ended early, e.g. "Gaussian projection" when that first
-    kurtosis failed the gate, so no row was scored, or "no score above beta"
-    when the first pass removed nothing.
+    no row was removed along it, and then it was never re-estimated. note says
+    why it ended early: "Gaussian projection" (the first kurtosis failed the
+    gate), "no score above beta" (the first pass removed nothing) or "constant
+    projection" (a pass, the first or a later one, had no kurtosis).
     """
 
     initial_direction: np.ndarray
@@ -247,8 +247,8 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
 
 def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
     """Run the removal loop at threshold beta; one fit serves any number of betas."""
-    if not (beta > 0):
-        raise ValueError("beta must be positive")
+    if not (0 < beta < math.inf):
+        raise ValueError("beta must be positive and finite")
     warnings = list(fitted.warnings)
     nonconverged = 0
 
@@ -271,12 +271,8 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
             try:
                 kur = kurtosis(z)
             except ValueError:  # zero variance, or a non-finite direction
-                if trace.removed:
-                    trace.note = "projection degenerated during the loop"
-                    warnings.append(f"direction {len(traces)} stopped: degenerate projection")
-                else:
-                    trace.note = "constant projection"
-                    warnings.append(f"direction {len(traces)} skipped: constant projection")
+                trace.note = "constant projection"
+                warnings.append(f"direction {len(traces)} ended: constant projection")
                 break
             trace.kurtosis_trace.append(kur)
             if not trace.removed:

@@ -171,14 +171,14 @@ class SimulationSpec:
         if self.family == "student_t":
             if self.nu is None:
                 raise ValueError("student_t needs nu")
-            if not (self.nu > 2):
-                raise ValueError("nu must exceed 2 (finite covariance)")
+            if not (2 < self.nu < math.inf):
+                raise ValueError("nu must be finite and exceed 2")
         elif self.nu is not None:
             raise ValueError("nu only applies to student_t")
 
         lo, hi = self.alpha_range
-        if not (lo < hi):
-            raise ValueError("alpha_range must be increasing")
+        if not (0 < hi - lo < math.inf):
+            raise ValueError("alpha_range must be increasing with a finite width")
 
     @property
     def n_outlier_rows(self) -> int:
@@ -275,8 +275,8 @@ def sample_student_t(sigma_mat, nu: float, T: int, seed: int) -> DataMatrix:
 
     The covariance is (nu / (nu - 2)) Sigma, hence the nu > 2 requirement.
     """
-    if not (nu > 2):
-        raise ValueError("nu must exceed 2 (finite covariance)")
+    if not (2 < nu < math.inf):
+        raise ValueError("nu must be finite and exceed 2")
     if T < 1:
         raise ValueError("T must be >= 1")
     chol = _check_spd(sigma_mat, "sigma_mat")
@@ -338,8 +338,6 @@ def default_covariance(n: int, condition: float = 20.0, seed: int = 0) -> np.nda
     if not (condition >= 1.0):
         raise ValueError("condition must be >= 1")
     eigvals = np.geomspace(1.0, 1.0 / condition, n)
-    if n == 1:
-        return np.array([[eigvals[0]]])
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     q = q * np.sign(np.diag(r))  # fix the factorization's sign ambiguity

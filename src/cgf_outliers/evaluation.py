@@ -121,6 +121,8 @@ def assemble_curve(
 
 def default_beta_grid(lo: float = 0.5, step: float = 0.25, hi: float = 10.0) -> np.ndarray:
     """Equally spaced thresholds lo, lo+step, ..., up to hi inclusive."""
+    if not np.all(np.isfinite([lo, step, hi])):
+        raise ValueError("lo, step and hi must be finite")
     if not (lo > 0 and step > 0 and hi >= lo):
         raise ValueError("need 0 < lo <= hi and step > 0")
     count = int(np.floor((hi - lo) / step + 1e-9)) + 1
@@ -144,7 +146,6 @@ def roc_sweep(
         raise ValueError("beta_grid must be nonempty")
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta_grid must be strictly ascending")
-    method = DetectionMethod(method)
 
     entries: list[tuple[float, float, float]] = []
     failures: list[tuple[float, str]] = []

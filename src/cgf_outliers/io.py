@@ -5,10 +5,10 @@ with repr(), which round-trips exactly through float(), so a file written
 from an array parses back bit-identical and rewriting it reproduces the same
 bytes. Dated tables put the date in the first column, ISO 8601.
 
-Price, data and covariance tables are read by one parser: blank lines are
+Price, data, covariance and label tables share one parser: blank lines are
 skipped, and a missing, malformed or non-finite (nan, inf) cell is rejected
-with an error that names the file, its row and its column. A covariance
-table has no header; its columns are named '1', '2', ... by position.
+with an error naming the file, its row and its column. A covariance table
+has no header; its columns are named '1', '2', ... by position.
 """
 
 from __future__ import annotations
@@ -217,18 +217,18 @@ def write_labels_csv(path, truth) -> None:
 
 
 def read_labels_csv(path) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = [line.strip() for line in fh if line.strip()]
-    if not rows or rows[0] != "is_outlier":
-        raise ValueError(f"{path}: expected a single 'is_outlier' column")
-    flags = []
-    for lineno, cell in enumerate(rows[1:], start=2):
-        if cell not in ("0", "1"):
-            raise ValueError(f"{path} row {lineno}: labels must be 0 or 1, got {cell!r}")
-        flags.append(cell == "1")
-    if not flags:
-        raise ValueError(f"{path}: no label rows")
-    return np.asarray(flags, dtype=bool)
+    """One 'is_outlier' column of 0/1 labels; errors carry row/column."""
+
+    def check_header(header):
+        if [h.strip() for h in header] != ["is_outlier"]:
+            raise ValueError(f"{path}: expected a single 'is_outlier' column")
+
+    _, _, labels, lines = _read_table(path, check_header)
+    bad = np.flatnonzero((labels[:, 0] != 0) & (labels[:, 0] != 1))
+    if bad.size:
+        raise ValueError(f"{path} row {lines[bad[0]]}, column 'is_outlier': "
+                         f"labels must be 0 or 1, got {labels[bad[0], 0]:g}")
+    return labels[:, 0] == 1
 
 
 def write_roc_csv(path, curve) -> None:

@@ -55,7 +55,16 @@ def test_cgf_single_row_is_linear():
 
 
 def test_cgf_r_zero_and_negative():
-    assert cgf_estimate(TWO_POINT, 0.0, E1) == 0.0
+    # r = 0 runs the kernel, which gives +0.0 exactly (max 0, exp 1, ln(T/T)).
+    # The gradient keeps its own r = 0 branch: through the kernel, a column with
+    # a negative weighted mean gives -0.0, while the branch gives plain zeros
+    shifted = DataMatrix(np.array([[-1.0, 2.0], [-3.0, 1.0]]))
+    for data in (TWO_POINT, shifted):
+        for theta in (E1, -E1, np.array([-0.6, 0.8])):
+            value = cgf_estimate(data, 0.0, theta)
+            assert value == 0.0 and not np.signbit(value)
+            grad = cgf_gradient(data, 0.0, theta)
+            assert np.array_equal(grad, np.zeros(2)) and not np.signbit(grad).any()
     with pytest.raises(ValueError):
         cgf_estimate(TWO_POINT, -1.0, E1)
 

@@ -42,8 +42,9 @@ def test_q_scores_degenerate_and_short():
 
 
 def test_detector_config_validation():
-    with pytest.raises(ValueError):
-        DetectorConfig(beta=0.0)
+    for beta in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            DetectorConfig(beta=beta)
     with pytest.raises(ValueError):
         DetectorConfig(beta=3.0, target_eps=1.0)
     with pytest.raises(ValueError):
@@ -303,6 +304,18 @@ def test_nonconverged_refine_is_reported(monkeypatch):
     assert not any("re-estimation" in w for w in detect(ds.data, cfg).warnings)
 
 
+def test_ascent_violations_are_reported(monkeypatch):
+    import cgf_outliers.detector as detector_module
+
+    real = detector_module.maximize_cgf
+    monkeypatch.setattr(detector_module, "maximize_cgf",
+                        lambda *args: replace(real(*args), ascent_violations=2))
+    ds = inject_outliers(SimulationSpec(family="std_normal", n=4, T=100, seed=3))
+    cfg = DetectorConfig(beta=3.0, multistart=MultistartConfig(n_starts=20, seed=3))
+    report = detect(ds.data, cfg)
+    assert report.warnings.count("2 ascent iterations decreased the objective") == 1
+
+
 def _counting_reestimates(fitted):
     """The fit with its re-estimator wrapped; calls[k] lists the rows each call saw.
 
@@ -383,11 +396,10 @@ def test_every_exit_of_remove_is_pinned():
 
     # the candidate itself projects to a constant: no kurtosis, no scoring
     assert run(3.0, candidates=((zero_axis, None),)) == (
-        [("constant projection", 0, 0, 0)], ["direction 1 skipped: constant projection"])
-    # the first re-estimate lands on the zero column
+        [("constant projection", 0, 0, 0)], ["direction 1 ended: constant projection"])
+    # the first re-estimate lands on the zero column: the same exit, after rows were removed
     assert run(3.0, reestimate=lambda Y, theta: (zero_axis, 7, True)) == (
-        [("projection degenerated during the loop", 1, 4, 7)],
-        ["direction 1 stopped: degenerate projection"])
+        [("constant projection", 1, 4, 7)], ["direction 1 ended: constant projection"])
     # a re-estimator that keeps the direction peels down to one row; the
     # direction ends there, before a re-estimate on it
     assert run(0.5, reestimate=lambda Y, theta: (theta, 1, True)) == (
@@ -474,5 +486,6 @@ def test_remove_on_one_fit_matches_detect_at_each_beta():
             assert report.n_flagged > 0
             _assert_same_report(report, detect(ds.data, replace(cfg, beta=beta)))
             _assert_same_report(report, remove(fitted, beta))
-        with pytest.raises(ValueError):
-            remove(fitted, 0.0)
+        for beta in (0.0, float("inf")):
+            with pytest.raises(ValueError, match="beta must be positive and finite"):
+                remove(fitted, beta)

@@ -201,10 +201,12 @@ def test_student_t_marginal_kurtosis():
 
 
 def test_student_t_rejects_small_nu():
-    with pytest.raises(ValueError):
-        sample_student_t(np.eye(2), 2.0, 10, seed=0)
-    with pytest.raises(ValueError):
-        SimulationSpec(family="student_t", n=2, T=100, seed=0, sigma_mat=np.eye(2), nu=1.5)
+    for nu in (2.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="nu must be finite and exceed 2"):
+            sample_student_t(np.eye(2), nu, 10, seed=0)
+    for nu in (1.5, float("inf")):
+        with pytest.raises(ValueError, match="nu must be finite and exceed 2"):
+            SimulationSpec(family="student_t", n=2, T=100, seed=0, sigma_mat=np.eye(2), nu=nu)
 
 
 def test_simulation_spec_validation():

@@ -117,6 +117,10 @@ def test_default_beta_grid():
         default_beta_grid(0.5, -0.25, 10.0)
     with pytest.raises(ValueError):
         default_beta_grid(5.0, 0.25, 1.0)
+    inf = float("inf")
+    for bad in [(1.0, 1.0, inf), (inf, 1.0, inf), (1.0, inf, 3.0), (float("nan"), 1.0, 2.0)]:
+        with pytest.raises(ValueError, match="lo, step and hi must be finite"):
+            default_beta_grid(*bad)
 
 
 def _planted_dataset(seed: int = 7) -> LabeledDataset:

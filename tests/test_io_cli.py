@@ -115,6 +115,15 @@ def test_both_readers_reject_non_finite_and_empty_cells(tmp_path, cell, problem)
         read_data_csv(data)
     assert str(err.value) == f"{data} row 4, column 'x1': {problem}"
 
+    labels = tmp_path / "labels.csv"
+    labels.write_text(f"is_outlier\n1\n0\n{cell}\n", encoding="utf-8")
+    if not cell:  # in a one-column table an empty cell is a blank line, which is skipped
+        np.testing.assert_array_equal(read_labels_csv(labels), [True, False])
+        return
+    with pytest.raises(ValueError) as err:
+        read_labels_csv(labels)
+    assert str(err.value) == f"{labels} row 4, column 'is_outlier': {problem}"
+
 
 # -------------------------------------------------------------------- returns
 
@@ -222,15 +231,23 @@ def test_labels_csv_round_trip(tmp_path):
 
 def test_read_labels_csv_is_strict(tmp_path):
     path = tmp_path / "labels.csv"
-    path.write_text("is_outlier\n2\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="0 or 1"):
+    path.write_text("is_outlier\n0\n2\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
         read_labels_csv(path)
-    path.write_text("flag\n1\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="is_outlier"):
+    assert str(err.value) == f"{path} row 3, column 'is_outlier': labels must be 0 or 1, got 2"
+    path.write_text("is_outlier\n0.5\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="row 2, column 'is_outlier': labels must be 0 or 1"):
         read_labels_csv(path)
+    for header in ("flag", "is_outlier,x"):
+        path.write_text(f"{header}\n1\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="single 'is_outlier' column"):
+            read_labels_csv(path)
     path.write_text("is_outlier\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="no label rows"):
+    with pytest.raises(ValueError, match="no data rows"):
         read_labels_csv(path)
+    # any number equal to 0 or 1 is a label, and blank lines are skipped
+    path.write_text("is_outlier\n1.0\n\n0\n 1 \n", encoding="utf-8")
+    np.testing.assert_array_equal(read_labels_csv(path), [True, False, True])
 
 
 def test_write_roc_csv_golden(tmp_path):
@@ -493,6 +510,37 @@ def test_cli_failing_runs_leave_no_out_directory(tmp_path, capsys):
     assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [
         {"error": "DegenerateInputError", "message": "data has no variance to project"}]
     assert not still.exists()
+
+    # non-finite numbers are input errors wherever they enter
+    labeled = ["evaluate", "--data", str(tmp_path / "data.csv"),
+               "--labels", str(tmp_path / "labels.csv"), "--beta-grid"]
+    grid = "argument --beta-grid: lo, step and hi must be finite"
+    width = "alpha_range must be increasing with a finite width"
+    simulate = ["simulate", "--dist", "skewnormal", "--n", "3", "--t", "40"]
+    for argv, error in [
+        (labeled + ["1:1:inf"], {"error": "usage", "message": grid}),
+        (labeled + ["inf:1:inf"], {"error": "usage", "message": grid}),
+        (labeled + ["1:inf:3"], {"error": "usage", "message": grid}),
+        (simulate + ["--alpha-range=-1:inf"], {"error": "ValueError", "message": width}),
+        (simulate + ["--alpha-range=-1e308:1e308"], {"error": "ValueError", "message": width}),
+        (["simulate", "--dist", "studentt", "--n", "3", "--t", "40", "--nu", "inf"],
+         {"error": "ValueError", "message": "nu must be finite and exceed 2"}),
+        (["detect", "--data", str(tmp_path / "data.csv"), "--beta", "inf"],
+         {"error": "ValueError", "message": "beta must be positive and finite"}),
+    ]:
+        out = tmp_path / "nonfinite"
+        assert run_cli(argv + ["--out", str(out)]) == 2, argv
+        assert [json.loads(line) for line in capsys.readouterr().err.splitlines()] == [error]
+        assert not out.exists()
+
+
+def test_beta_star_mode_ignores_nan_and_breaks_ties_low():
+    from cgf_outliers.cli import _beta_star_mode
+
+    nan = float("nan")
+    assert _beta_star_mode([nan, nan]) is None
+    assert _beta_star_mode([3.0, nan, 2.5, 3.0, 2.5]) == 2.5
+    assert _beta_star_mode([4.0, nan, 2.0, 4.0]) == 4.0
 
 
 @pytest.mark.parametrize("option, value, message", [
