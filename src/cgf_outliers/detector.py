@@ -28,6 +28,14 @@ a beta sweep fits once and removes once per beta.
 The CGF ascent runs on the centered data divided by sqrt(lambda1), at radius
 r * sqrt(lambda1): G and the q-scores are unchanged, and the ascent's path no
 longer depends on the scale of the data.
+
+The pca re-estimate is PC1 of the survivors' covariance, taken by `eigh` from
+a centered scatter that one `remove` call keeps up to date: the fit computes
+the rows' mean and scatter once, by two passes, and each pass downdates both
+by the k rows it dropped at O(k n^2), instead of reading all m survivors.
+Removing rows that dominate the scatter would cancel its digits, so once its
+trace falls below 1e-3 of its value at the last two-pass computation, the
+re-estimate computes mean and scatter again by two passes over the survivors.
 """
 
 from __future__ import annotations
@@ -50,7 +58,6 @@ from .cgf import (
 from .linalg_stats import (
     DataMatrix,
     DegenerateInputError,
-    _covariance_eigh,
     _readonly,
     center,
     covariance_pca,
@@ -72,6 +79,12 @@ __all__ = [
 ]
 
 _GATE_SE = 3.0  # standard errors of the normal kurtosis above 3 a direction must reach
+# A downdate subtracts terms of the size of the scatter it started from, so it
+# errs by about 1e-16 of the trace at the last two-pass computation. The pca
+# re-estimate recomputes once the trace falls below this share of that value,
+# which keeps the error near 1e-12 of the current trace. Without it, dropping
+# one row scaled by 1e6 moved q-scores by 1e-4, and one scaled by 1e8 changed flags.
+_RECOMPUTE_BELOW = 1e-3
 
 
 class DetectionError(RuntimeError):
@@ -158,16 +171,23 @@ class DetectionReport:
 class FittedDetector:
     """The beta-free part of detection; `remove` reads it and never changes it.
 
-    candidates are (direction, CGF value or None) in loop order. reestimate
-    maps the cleaned rows (at least 3) and a direction to (direction,
-    evaluations, converged); iterations and warnings open every report.
+    candidates are (direction, CGF value or None) in loop order. reestimator
+    is called once per `remove` call and returns that call's re-estimate,
+    which maps the surviving rows (at least 3), the rows the pass just
+    dropped and a direction to (direction, evaluations, converged). The maxcgf
+    re-estimate ignores the dropped rows. The pca one starts from the rows'
+    mean and centered scatter, computed once by two passes, downdates both by
+    each pass's dropped rows, and recomputes them by two passes once the
+    scatter's trace falls below 1e-3 of its last two-pass value. iterations
+    and warnings open every report.
     """
 
     method: DetectionMethod
     centered: DataMatrix
     radius: RadiusSelection
     candidates: tuple[tuple[np.ndarray, float | None], ...]
-    reestimate: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, int, bool]]
+    reestimator: Callable[[], Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                      tuple[np.ndarray, int, bool]]]
     iterations: int
     warnings: tuple[str, ...]
 
@@ -194,11 +214,47 @@ def _scaled_rows(Y: np.ndarray, scale: float) -> np.ndarray:
     return np.divide(Y.T, scale, order="C").T
 
 
+def _centered_scatter(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the rows' mean and centered scatter (Y - mean)^T (Y - mean), by two passes
+    mean = Y.mean(axis=0)
+    dev = Y - mean
+    return mean, dev.T @ dev
+
+
+def _pc1_reestimate(mean: np.ndarray, scatter: np.ndarray):
+    """One `remove` call's PCA re-estimate, starting from the fit rows' mean and scatter.
+
+    Dropping the k rows G of m leaves m' = m - k; with D = G - mean and
+    s = sum of D's rows, the survivors' scatter is scatter - D^T D - s s^T / m'
+    and their mean is mean - s / m' (Chan, Golub & LeVeque, The American
+    Statistician 37(3), 1983), at O(k n^2) where recomputing costs O(m n^2).
+    The state describes the survivors only if it sees every pass that drops
+    rows: `remove` re-estimates after each, except one that leaves fewer
+    than 3 rows, after which it re-estimates no more.
+    """
+    last_trace = np.trace(scatter)  # at the last two-pass computation
+
+    def reestimate(Y, dropped, theta):
+        nonlocal mean, scatter, last_trace
+        m = Y.shape[0]
+        dev = dropped - mean
+        s = dev.sum(axis=0)
+        scatter = scatter - dev.T @ dev - np.outer(s, s) / m
+        mean = mean - s / m
+        if np.trace(scatter) < _RECOMPUTE_BELOW * last_trace:
+            mean, scatter = _centered_scatter(Y)
+            last_trace = np.trace(scatter)
+        return _fix_sign(np.linalg.eigh(scatter / (m - 1))[1][:, -1]), 1, True
+
+    return reestimate
+
+
 def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
     """Center, select the radius, and pair the candidates with their re-estimator.
 
     maxcgf: multistart CGF maxima, re-estimated by a warm-started ascent.
-    pca: PC1, re-estimated as PC1 of the cleaned rows. config.beta is not read.
+    pca: PC1, re-estimated as PC1 of the cleaned rows from a downdated scatter.
+    config.beta is not read.
     """
     T = data.n_obs
     if T < 10:
@@ -231,17 +287,20 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
                 f"{result.ascent_violations} ascent iterations decreased the objective"
             )
 
-        def reestimate(Y, theta):
+        def reestimate(Y, dropped, theta):
             return refine_direction(_scaled_rows(Y, scale), r * scale, theta)
+
+        def reestimator():
+            return reestimate
 
     else:
         candidates = ((_readonly(_fix_sign(cov.pc1)), None),)
+        mean, scatter = (_readonly(a) for a in _centered_scatter(centered.values))
 
-        def reestimate(Y, theta):
-            # covariance_pca's PC1 without its wrappers: Y are rows fit already validated
-            return _fix_sign(_covariance_eigh(Y)[2][:, -1]), 1, True
+        def reestimator():
+            return _pc1_reestimate(mean, scatter)
 
-    return FittedDetector(config.method, centered, r_sel, candidates, reestimate, iterations,
+    return FittedDetector(config.method, centered, r_sel, candidates, reestimator, iterations,
                           tuple(warnings))
 
 
@@ -251,6 +310,7 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
         raise ValueError("beta must be positive and finite")
     warnings = list(fitted.warnings)
     nonconverged = 0
+    reestimate = fitted.reestimator()
 
     scores = np.full(fitted.centered.n_obs, np.nan)
     alive = np.arange(scores.size)
@@ -300,12 +360,12 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
                     trace.note = "no score above beta"
                 break
             trace.removed += int(out.sum())
-            Y, alive = Y[~out], alive[~out]
+            dropped, Y, alive = Y[out], Y[~out], alive[~out]
             if alive.size < 3:
                 trace.note = "too few rows to keep scoring"
                 break
 
-            theta, used, converged = fitted.reestimate(Y, theta)
+            theta, used, converged = reestimate(Y, dropped, theta)
             trace.refine_iterations += used
             nonconverged += not converged
             trace.final_direction = theta

@@ -118,17 +118,11 @@ def covariance_pca(data: DataMatrix) -> CovarianceSummary:
     """
     if data.n_obs < 2:
         raise ValueError("covariance needs at least 2 observations")
-    cov, eigvals, eigvecs = _covariance_eigh(data.values)
-    order = np.argsort(eigvals, kind="stable")[::-1]
-    return CovarianceSummary(cov, eigvals[order], eigvecs[:, order])
-
-
-def _covariance_eigh(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # covariance_pca's arithmetic on raw rows; eigh returns ascending eigenvalues
-    cov = np.atleast_2d(np.cov(values, rowvar=False, ddof=1))
+    cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))
     cov = 0.5 * (cov + cov.T)  # enforce exact symmetry before eigh
     eigvals, eigvecs = np.linalg.eigh(cov)
-    return cov, eigvals, eigvecs
+    order = np.argsort(eigvals, kind="stable")[::-1]
+    return CovarianceSummary(cov, eigvals[order], eigvecs[:, order])
 
 
 def _as_vector(z) -> np.ndarray:

@@ -130,11 +130,13 @@ def test_location_shift_leaves_flags_unchanged():
     shift = np.array([5.0, -3.0, 2.0, 0.0, 1.0, 9.0])
     for seed in range(40):
         ds = inject_outliers(SimulationSpec(family="std_normal", n=6, T=80, seed=seed))
-        cfg = DetectorConfig(beta=2.5, multistart=MultistartConfig(n_starts=40, seed=seed))
-        base = detect(ds.data, cfg)
-        moved = detect(DataMatrix(ds.data.values + shift), cfg)
-        assert np.array_equal(base.outlier_flags, moved.outlier_flags), seed
-        assert np.nanmax(np.abs(base.q_scores - moved.q_scores)) < 1e-12, seed
+        for method in ("maxcgf", "pca"):
+            cfg = DetectorConfig(beta=2.5, method=method,
+                                 multistart=MultistartConfig(n_starts=40, seed=seed))
+            base = detect(ds.data, cfg)
+            moved = detect(DataMatrix(ds.data.values + shift), cfg)
+            assert np.array_equal(base.outlier_flags, moved.outlier_flags), (seed, method)
+            assert np.nanmax(np.abs(base.q_scores - moved.q_scores)) < 1e-12, (seed, method)
 
 
 def test_global_scale_equivariance():
@@ -146,20 +148,22 @@ def test_global_scale_equivariance():
         for seed in range(3):
             ds = inject_outliers(SimulationSpec(family=family, n=30, T=500, seed=seed,
                                                 sigma_mat=sigma, **kw))
-            cfg = DetectorConfig(beta=3.0, multistart=MultistartConfig(n_starts=200, seed=seed))
             X = ds.data.values
             perm = np.random.default_rng(seed).permutation(X.shape[0])
-            base = fit(ds.data, cfg)
-            variants = [(fit(DataMatrix(0.37 * X), cfg), slice(None)),
-                        (fit(DataMatrix(7.3 * X), cfg), slice(None)),
-                        (fit(DataMatrix(X[perm]), cfg), np.argsort(perm))]
-            for beta in (2.5, 3.5):
-                want = remove(base, beta)
-                for fitted, back in variants:
-                    got = remove(fitted, beta)
-                    case = (family, seed, beta)
-                    assert np.array_equal(want.outlier_flags, got.outlier_flags[back]), case
-                    assert np.nanmax(np.abs(want.q_scores - got.q_scores[back])) < 1e-9, case
+            for method in ("maxcgf", "pca"):
+                cfg = DetectorConfig(beta=3.0, method=method,
+                                     multistart=MultistartConfig(n_starts=200, seed=seed))
+                base = fit(ds.data, cfg)
+                variants = [(fit(DataMatrix(0.37 * X), cfg), slice(None)),
+                            (fit(DataMatrix(7.3 * X), cfg), slice(None)),
+                            (fit(DataMatrix(X[perm]), cfg), np.argsort(perm))]
+                for beta in (2.5, 3.5):
+                    want = remove(base, beta)
+                    for fitted, back in variants:
+                        got = remove(fitted, beta)
+                        case = (family, seed, method, beta)
+                        assert np.array_equal(want.outlier_flags, got.outlier_flags[back]), case
+                        assert np.nanmax(np.abs(want.q_scores - got.q_scores[back])) < 1e-9, case
 
 
 def test_row_permutation_equivariance_where_float32_does_most_updates(monkeypatch):
@@ -235,21 +239,49 @@ def test_pca_baseline_detects_planted_block():
     assert np.mean(hits) > 0.5
 
 
-def test_pca_reestimate_is_covariance_pca_pc1():
-    # the re-estimator skips covariance_pca's wrappers; its direction must be
-    # the same floats, on row subsets of every size down to 2 rows, and n = 1
+def test_pca_reestimate_tracks_covariance_pca_pc1_past_gross_outliers():
+    # the re-estimate downdates the survivors' scatter by each pass's dropped
+    # rows and recomputes it once the downdate could cancel; along real
+    # removal sequences it must stay within round-off of covariance_pca's PC1
+    # of the survivors, also when the dropped rows dominated the scatter
+    def pc1(Y):
+        return _fix_sign(covariance_pca(DataMatrix(Y)).pc1)
+
+    checked = 0
     rng = np.random.default_rng(17)
     for n in (1, 2, 5, 30):
         data = rng.standard_t(5, size=(120, n)) @ rng.normal(size=(n, n))
-        fitted = fit(DataMatrix(data), DetectorConfig(beta=3.0, method="pca"))
-        theta = fitted.candidates[0][0]
-        for size in (2, 3, 17, 119, 120):
-            rows = np.sort(rng.choice(120, size=size, replace=False))
-            Y = fitted.centered.values[rows]
-            direction, used, converged = fitted.reestimate(Y, theta)
-            expected = _fix_sign(covariance_pca(DataMatrix(Y)).pc1)
-            assert np.array_equal(direction, expected), (n, size)
-            assert (used, converged) == (1, True)
+        draws = [data, data + 1e3 * rng.normal(size=n)]
+        for scale in (1e2, 1e4, 1e6, 1e8):
+            gross = data.copy()
+            gross[7] *= scale
+            draws.append(gross)
+        for k, x in enumerate(draws):
+            fitted = fit(DataMatrix(x), DetectorConfig(beta=3.0, method="pca"))
+
+            def checking():
+                reestimate = fitted.reestimator()
+
+                def checked_reestimate(Y, dropped, theta):
+                    nonlocal checked
+                    direction, used, converged = reestimate(Y, dropped, theta)
+                    assert np.abs(direction - pc1(Y)).max() < 1e-6, (n, k)
+                    assert (used, converged) == (1, True)
+                    checked += 1
+                    return direction, used, converged
+
+                return checked_reestimate
+
+            reference = replace(fitted, reestimator=lambda: lambda Y, dropped, theta: (
+                pc1(Y), 1, True))
+            for beta in (1.0, 2.0, 3.0, 4.0):
+                got = remove(replace(fitted, reestimator=checking), beta)
+                want = remove(reference, beta)
+                case = (n, k, beta)
+                assert np.array_equal(got.outlier_flags, want.outlier_flags), case
+                assert np.array_equal(np.isnan(got.q_scores), np.isnan(want.q_scores)), case
+                assert np.nanmax(np.abs(got.q_scores - want.q_scores), initial=0.0) < 1e-6, case
+    assert checked > 100
 
 
 def test_empty_first_pass_skips_the_direction():
@@ -325,13 +357,18 @@ def _counting_reestimates(fitted):
     calls: list[list[int]] = []
     candidates = [theta for theta, _ in fitted.candidates]
 
-    def counted(Y, theta):
-        if any(theta is c for c in candidates):
-            calls.append([])
-        calls[-1].append(Y.shape[0])
-        return fitted.reestimate(Y, theta)
+    def counting():
+        reestimate = fitted.reestimator()
 
-    return replace(fitted, reestimate=counted), calls
+        def counted(Y, dropped, theta):
+            if any(theta is c for c in candidates):
+                calls.append([])
+            calls[-1].append(Y.shape[0])
+            return reestimate(Y, dropped, theta)
+
+        return counted
+
+    return replace(fitted, reestimator=counting), calls
 
 
 def test_each_reestimate_after_the_first_follows_a_productive_pass():
@@ -398,11 +435,11 @@ def test_every_exit_of_remove_is_pinned():
     assert run(3.0, candidates=((zero_axis, None),)) == (
         [("constant projection", 0, 0, 0)], ["direction 1 ended: constant projection"])
     # the first re-estimate lands on the zero column: the same exit, after rows were removed
-    assert run(3.0, reestimate=lambda Y, theta: (zero_axis, 7, True)) == (
+    assert run(3.0, reestimator=lambda: lambda Y, dropped, theta: (zero_axis, 7, True)) == (
         [("constant projection", 1, 4, 7)], ["direction 1 ended: constant projection"])
     # a re-estimator that keeps the direction peels down to one row; the
     # direction ends there, before a re-estimate on it
-    assert run(0.5, reestimate=lambda Y, theta: (theta, 1, True)) == (
+    assert run(0.5, reestimator=lambda: lambda Y, dropped, theta: (theta, 1, True)) == (
         [("too few rows to keep scoring", 3, 39, 2)], [])
     # the same with PC1 re-estimates; the second copy of the candidate is never reached
     twice = fitted.candidates * 2
