@@ -151,7 +151,7 @@ class MaximizerResult:
     nonzero count flags round-off or a broken kernel. The slack is relative:
     1e-12 (_ASCENT_SLACK) between two float64 G values, 1e-5 (_COARSE_SLACK)
     when either was computed in float32; the last step of a merged or
-    unconverged start is checked only when no start converged. Of the
+    unconverged start is not checked. Of the
     n_starts starts, starts_converged converged, starts_merged were retired on
     joining another start's ascent (maximize_cgf), and the rest hit _MAX_ITERS.
     """
@@ -347,7 +347,7 @@ def _ascend(
     docstring). Returns (final thetas, G at each final theta, converged mask,
     merged mask, total updates, ascent violations); the merged mask is every
     start neither converged nor still active. G is NaN at the starts
-    that did not converge, unless none did. Every iteration advances all
+    that did not converge. Every iteration advances all
     active starts, _BLOCK at a time; rows are arithmetically independent, so
     a start that is never merged evaluates as it would alone. A start's
     updates read a float32 copy of the data until one moves it at most
@@ -414,10 +414,9 @@ def _ascend(
             near = (thetas[idx] @ anchors >= _MERGE_COS) & (ahead | (pool < idx[:, None]))
             active[idx[near.any(axis=1)]] = False
 
-    # G at the candidates (every start when none converged), closing their ascent check
-    ends = converged if converged.any() else np.ones(n_starts, dtype=bool)
+    # G at the candidates, closing their ascent check
     g_final = np.full(n_starts, np.nan)
-    g_final[ends] = _batch_cgf(Xt.T, r, thetas[ends], buf)
+    g_final[converged] = _batch_cgf(Xt.T, r, thetas[converged], buf)
     slack = last_slack * np.maximum(1.0, np.abs(last_g))
     violations += int(np.sum(g_final < last_g - slack))  # NaN on either side compares False
 
@@ -454,7 +453,7 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
                   starts_converged=int(converged.sum()), starts_merged=int(merged.sum()))
 
     if not converged.any():
-        partial = MaximizerResult(directions=thetas, cgf_values=values, **counts)
+        partial = MaximizerResult(thetas, _batch_cgf(X, r, thetas), **counts)
         raise ConvergenceError(f"no start converged within {_MAX_ITERS} iterations", partial)
 
     cand = np.flatnonzero(converged)

@@ -132,7 +132,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="input data CSV")
     p.add_argument("--labels", default=None, help="labels CSV (is_outlier column)")
     p.add_argument("--crisis-date", default=None, help="label dated rows >= this ISO date")
-    p.add_argument("--beta-grid", type=_parse_grid, default=None, metavar="LO:STEP:HI")
+    p.add_argument("--beta-grid", type=_parse_grid, default=default_beta_grid(),
+                   metavar="LO:STEP:HI")
     _add_detector_args(p)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--timings", action="store_true", help="include wall-clock times in summary.json")
@@ -141,7 +142,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sweep", help="regenerate + evaluate across seeds")
     _add_sim_args(p)
-    p.add_argument("--beta-grid", type=_parse_grid, default=None, metavar="LO:STEP:HI")
+    p.add_argument("--beta-grid", type=_parse_grid, default=default_beta_grid(),
+                   metavar="LO:STEP:HI")
     _add_detector_args(p)
     p.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
     p.add_argument("--n-seeds", type=int, default=5)
@@ -273,14 +275,10 @@ def _labeled_from_args(args) -> LabeledDataset:
     return label_by_crisis(data, args.crisis_date)
 
 
-def _grid(args) -> np.ndarray:
-    return args.beta_grid if args.beta_grid is not None else default_beta_grid()
-
-
 def _evaluate_into(args, suffix: str, seed: int, dataset: LabeledDataset,
                    head: dict) -> RocCurve:
     """Sweep the beta grid on dataset, then write roc<suffix>.csv and summary<suffix>.json."""
-    grid = _grid(args)
+    grid = args.beta_grid
     curve = roc_sweep(dataset, args.method, grid, _detector_config(args, float(grid[0]), seed))
     out = _outdir(args)
     write_roc_csv(os.path.join(out, f"roc{suffix}.csv"), curve)
@@ -329,7 +327,7 @@ def _cmd_sweep(args) -> int:
     bcvs = [c.bcv for _, c in per_seed]
     stars = [c.beta_star for _, c in per_seed]
     head = {**_sim_config_echo(args, args.seed), "n_seeds": args.n_seeds,
-            "beta_grid": [float(b) for b in _grid(args)]}
+            "beta_grid": [float(b) for b in args.beta_grid]}
     payload = {
         **_envelope("sweep", _detector_config_echo(args, args.seed, head)),
         "per_seed": [

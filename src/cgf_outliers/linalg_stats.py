@@ -118,11 +118,9 @@ def covariance_pca(data: DataMatrix) -> CovarianceSummary:
     """
     if data.n_obs < 2:
         raise ValueError("covariance needs at least 2 observations")
-    cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))
-    cov = 0.5 * (cov + cov.T)  # enforce exact symmetry before eigh
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals, kind="stable")[::-1]
-    return CovarianceSummary(cov, eigvals[order], eigvecs[:, order])
+    cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))  # exactly symmetric
+    eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
+    return CovarianceSummary(cov, eigvals[::-1], eigvecs[:, ::-1])
 
 
 def _as_vector(z) -> np.ndarray:

@@ -365,6 +365,24 @@ def test_multistart_config_validation():
         MultistartConfig(n_starts=0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: cgf_estimate(TWO_POINT, 1.0, [1.0, 0.0, 0.0]),
+     "theta has length 3, data has 2 columns"),
+    (lambda: cgf_estimate(TWO_POINT, 1.0, [math.nan, 1.0]), "theta entries must be finite"),
+    (lambda: cgf_gradient(TWO_POINT, -1.0, E1), "r must be nonnegative"),
+    (lambda: relative_variance(1.0, 0.0, 100), "lambda1 must be positive"),
+    (lambda: relative_variance(1.0, 1.0, 0), "T must be >= 1"),
+    (lambda: sample_unit_sphere(0, 5, seed=0), "n and count must be >= 1"),
+    (lambda: sample_unit_sphere(3, 0, seed=0), "n and count must be >= 1"),
+    (lambda: maximize_cgf(TWO_POINT, 0.0, MultistartConfig(n_starts=1)), "r must be positive"),
+], ids=["theta-length", "theta-nan", "gradient-r", "rv-lambda1", "rv-T", "sphere-n",
+        "sphere-count", "maximize-r"])
+def test_input_checks_name_the_problem(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (ValueError, message)
+
+
 def test_unit_vector():
     v = unit_vector(np.array([3.0, 4.0]))
     np.testing.assert_allclose(v, [0.6, 0.8], atol=1e-15)

@@ -300,3 +300,29 @@ def test_default_covariance_spectrum():
     assert np.array_equal(sigma, default_covariance(10, condition=20.0, seed=0))
     one = default_covariance(1)
     assert one.shape == (1, 1) and one[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sample_normal(np.ones((2, 3)), 10, seed=0), "sigma_mat must be a square matrix"),
+    (lambda: sample_normal([[1.0, math.nan], [math.nan, 1.0]], 10, seed=0),
+     "sigma_mat must be finite"),
+    (lambda: sample_normal([[1.0, 0.5], [0.2, 1.0]], 10, seed=0), "sigma_mat must be symmetric"),
+    (lambda: LabeledDataset(DataMatrix(np.ones((3, 2))), [True, False]),
+     "truth must have one entry per data row"),
+    (lambda: SimulationSpec(family="normal", n=2, T=100, seed=0, sigma_mat=np.eye(3)),
+     "sigma_mat must be 2 x 2"),
+    (lambda: SimulationSpec(family="student_t", n=2, T=100, seed=0, sigma_mat=np.eye(2)),
+     "student_t needs nu"),
+    (lambda: sample_normal(np.eye(2), 0, seed=0), "T must be >= 1"),
+    (lambda: sample_skew_normal(SkewNormalParams(**ORACLE_PARAMS), 0, seed=0), "T must be >= 1"),
+    (lambda: sample_student_t(np.eye(2), 5.0, 0, seed=0), "T must be >= 1"),
+    (lambda: cgf_skew_normal_analytic([0.1, 0.2, 0.3], SkewNormalParams(**ORACLE_PARAMS)),
+     "xi must have length n"),
+    (lambda: default_covariance(0), "n must be >= 1"),
+    (lambda: default_covariance(3, condition=0.5), "condition must be >= 1"),
+], ids=["sigma-not-square", "sigma-nan", "sigma-asymmetric", "truth-length", "spec-sigma-shape",
+        "spec-no-nu", "normal-T", "skew-T", "student-T", "xi-length", "cov-n", "cov-condition"])
+def test_input_checks_name_the_problem(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert (type(err.value), str(err.value)) == (ValueError, message)

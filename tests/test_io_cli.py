@@ -55,6 +55,21 @@ def test_price_table_validation():
         PriceTable(("01/02/2020",), [[1.0]], ("AAA",))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda csv: PriceTable(("2020-01-01",), [1.0], ("AAA",)), "prices must be a 2-D array"),
+    (lambda csv: PriceTable((), np.empty((0, 1)), ("AAA",)),
+     "need at least one date and one ticker"),
+    (lambda csv: PriceTable(("2020-01-01",), [[math.inf]], ("AAA",)), "prices must be finite"),
+    (read_data_csv, "{csv}: no variable columns in header ['date']"),
+], ids=["prices-1-D", "prices-empty", "prices-inf", "csv-only-date"])
+def test_input_checks_name_the_problem(tmp_path, call, message):
+    csv = tmp_path / "data.csv"
+    csv.write_text("date\n2020-01-01\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        call(csv)
+    assert (type(err.value), str(err.value)) == (ValueError, message.format(csv=csv))
+
+
 def test_read_price_csv_round_trip(tmp_path):
     path = tmp_path / "prices.csv"
     path.write_text(

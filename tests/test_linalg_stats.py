@@ -101,6 +101,20 @@ def test_eigendecomposition_reconstruction_random_spd():
         assert np.abs(ortho - np.eye(n)).max() < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 30])
+def test_covariance_pca_is_eigh_of_an_exactly_symmetric_matrix(n):
+    # np.cov's product is exactly symmetric and eigh returns ascending eigenvalues,
+    # so covariance_pca needs neither a symmetrizing nor a sorting step
+    rng = np.random.default_rng(n)
+    for T in (2, 3, 10, 100, 1000, 10_000):
+        scale = rng.uniform(0.01, 100.0, n)
+        for X in (rng.normal(size=(T, n)) * scale, rng.standard_t(3, size=(T, n)) * scale + 5.0):
+            s = covariance_pca(DataMatrix(X))
+            assert np.array_equal(s.matrix, s.matrix.T)
+            assert np.all(np.diff(s.eigenvalues) <= 0.0)
+            assert np.array_equal(s.eigenvectors[:, 0], np.linalg.eigh(s.matrix)[1][:, -1])
+
+
 def test_median_and_mad_hand_values():
     med, mad = median_and_mad([0.0, 1.0, 2.0, 3.0, 10.0])
     assert med == 2.0 and mad == 1.0
@@ -187,6 +201,17 @@ def test_kurtosis_rejects_degenerate():
         kurtosis(np.full(10, 3.0))
     with pytest.raises(ValueError):
         kurtosis([1.0])
+
+
+@pytest.mark.parametrize("values, message", [
+    ([], "empty vector"),
+    ([1.0, np.nan, 2.0], "vector entries must be finite"),
+    ([1.0, -np.inf], "vector entries must be finite"),
+], ids=["empty", "nan", "inf"])
+def test_input_checks_name_the_problem(values, message):
+    with pytest.raises(ValueError) as err:
+        kurtosis(values)
+    assert (type(err.value), str(err.value)) == (ValueError, message)
 
 
 def test_cumulants_constant_sequence():
