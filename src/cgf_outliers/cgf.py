@@ -15,11 +15,17 @@ X^T W^T. Callers pass T x n rows; a view over an n x T array (as
 once per call.
 
 Directions that locally maximize G over the unit sphere are found by a
-fixed-step projected ascent restarted from many random points; with step 1/r
-the unnormalized update lands exactly on the weighted row mean, so each
-iteration applies the map
+fixed-step projected ascent restarted from the rows of largest norm; with
+step 1/r the unnormalized update lands exactly on the weighted row mean, so
+each iteration applies the map
 
     Phi(theta) = normalize(theta + weighted_row_mean(theta)).
+
+A start is a nonzero row normalized to x_t/|x_t|: as r grows, G tends to
+r * max_t theta . X_t - ln T, largest exactly at the normalized largest row
+(directions through data points, as in Stahel 1981, Donoho 1982 and Pena &
+Prieto, JCGS 16(1), 2007). Rows tied in norm are ordered by their values, so
+the starts do not depend on the order of the rows.
 
 The multistart advances all active starts together, in blocks of at most 64
 so the buffer stays 64 x T, and retires (merges) a start once it lies within
@@ -30,21 +36,9 @@ Math. Programming 39, 1987). Re-estimating one maximum on changed data (the
 refine) is a Riemannian BFGS ascent on the sphere with Armijo backtracking,
 each step capped at a few lengths of the Phi step, or at twice a previous
 step along which G was concave. Both stop at ||Phi(theta) - theta|| <= 1e-7,
-or after 10,000 updates (kernel calls for the refine), and return Phi(theta).
-
-The multistart splits its precision: cheap iterations in low precision, the
-result certified in high precision (Higham & Mary, Acta Numerica 31, 2022).
-A start's updates run the same kernel on a float32 copy of the data until one
-moves it at most the switch step 3e-2, or raises G by no more than float32
-round-off; its later updates read the float64 data, and only a float64 update
-can stop it. Far from a maximum a float32 step serves as well as a float64
-one, and a float32 kernel row costs about 60% of a float64 row. Near a
-maximum Phi is a contraction, so the float64 updates shrink the float32 error
-along with the step, and the stopping test certifies a float64 fixed point.
-The float32 sums depend on the row order, so the switch step is a correctness
-constant: permuting the rows of the equivariance test's data moved q-scores
-by up to 9e-8 with the switch at 1e-3, and by 2e-10 at 3e-2. Thetas are
-float64 throughout.
+or after 10,000 updates (kernel calls for the refine), and return Phi(theta);
+a converged refine first takes plain Phi steps down to a step of 1e-9.
+Everything runs in float64.
 
 Phi never lowers G. F(theta) = G(theta) + (r/2) ||theta||^2 is convex
 because G is, and Phi(theta) = grad F / ||grad F||, so for unit theta
@@ -78,18 +72,16 @@ __all__ = [
     "cgf_gradient",
     "relative_variance",
     "select_radius",
-    "sample_unit_sphere",
     "maximize_cgf",
     "refine_direction",
 ]
 
-_ASCENT_SLACK = 1e-12  # relative G decrease counted as a violation between float64 values
-_COARSE_SLACK = 1e-5  # the same when either value is float32
+_ASCENT_SLACK = 1e-12  # relative G decrease counted as a violation
 _TOLERANCE = 1e-7  # an ascent stops once ||Phi(theta) - theta|| is at most this
+_POLISH = 1e-9  # a converged refine takes plain Phi steps until one moves it at most this
 _MAX_ITERS = 10_000  # updates per multistart start, kernel calls per refine
 _DEDUP_COS = 0.995  # |cosine| above which a lower-valued maximum is a duplicate
 _BLOCK = 64  # starts per kernel call in the multistart: a 64 x T buffer
-_SWITCH_STEP = 3e-2  # a multistart start's updates run in float64 once one moves it at most this
 _MERGE_COS = 1.0 - 1e-4  # signed cosine at which a multistart start has joined another's ascent
 _STEP_CAP = 5.0  # refine step bound in Phi steps; larger bounds reach other maxima more often
 _ARMIJO = 1e-4  # sufficient-increase constant of the refine's backtracking
@@ -130,9 +122,9 @@ class RadiusSelection:
 
 @dataclass(frozen=True)
 class MultistartConfig:
-    """n_starts random unit vectors drawn from seed; maximize_cgf fixes the rest."""
+    """Start at the n_starts largest nonzero rows (maximize_cgf); seed is accepted, not read."""
 
-    n_starts: int = 1000
+    n_starts: int = _BLOCK
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -147,13 +139,12 @@ class MaximizerResult:
     directions[k] is a unit row vector and cgf_values[k] its sample CGF.
     total_iterations sums updates over every start, kept, dropped by the dedup
     or merged; ascent_violations counts iterations whose CGF decreased beyond
-    slack, which Phi rules out in exact arithmetic (module docstring), so a
-    nonzero count flags round-off or a broken kernel. The slack is relative:
-    1e-12 (_ASCENT_SLACK) between two float64 G values, 1e-5 (_COARSE_SLACK)
-    when either was computed in float32; the last step of a merged or
-    unconverged start is not checked. Of the
-    n_starts starts, starts_converged converged, starts_merged were retired on
-    joining another start's ascent (maximize_cgf), and the rest hit _MAX_ITERS.
+    slack, relative 1e-12 (_ASCENT_SLACK), which Phi rules out in exact
+    arithmetic (module docstring), so a nonzero count flags round-off or a
+    broken kernel; the last step of a merged or unconverged start is not
+    checked. Of the min(n_starts, nonzero rows) starts, starts_converged
+    converged, starts_merged were retired on joining another start's ascent
+    (maximize_cgf), and the rest hit _MAX_ITERS.
     """
 
     directions: np.ndarray
@@ -281,18 +272,21 @@ def select_radius(lambda1: float, T: int, target_eps: float) -> RadiusSelection:
     )
 
 
-def sample_unit_sphere(n: int, count: int, seed: int) -> np.ndarray:
-    """count x n starting directions, uniform on the sphere (normalized normals)."""
-    if n < 1 or count < 1:
-        raise ValueError("n and count must be >= 1")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((count, n))
-    norms = np.linalg.norm(v, axis=1)
-    while np.any(norms < 1e-12):  # essentially unreachable; keeps the math safe
-        bad = norms < 1e-12
-        v[bad] = rng.standard_normal((int(bad.sum()), n))
-        norms = np.linalg.norm(v, axis=1)
-    return v / norms[:, None]
+def _row_starts(Xt: np.ndarray, count: int) -> np.ndarray:
+    """The min(count, nonzero rows) largest rows of the n x T ``Xt``, normalized, largest first.
+
+    Norm ties are ordered by the rows' values, lexicographically, not by index.
+    """
+    norms = np.sqrt((Xt * Xt).sum(axis=0))
+    nonzero = np.flatnonzero(norms > 0.0)
+    if nonzero.size == 0:
+        raise ValueError("data has no nonzero row to start from")
+    count = min(count, nonzero.size)
+    # every row tied with the count-th largest norm competes for the last places
+    cut = np.partition(norms[nonzero], nonzero.size - count)[nonzero.size - count]
+    top = nonzero[norms[nonzero] >= cut]
+    top = top[np.lexsort((*Xt[::-1, top], -norms[top]))[:count]]
+    return (Xt[:, top] / norms[top]).T
 
 
 def _exp_shifted(
@@ -349,62 +343,47 @@ def _ascend(
     start neither converged nor still active. G is NaN at the starts
     that did not converge. Every iteration advances all
     active starts, _BLOCK at a time; rows are arithmetically independent, so
-    a start that is never merged evaluates as it would alone. A start's
-    updates read a float32 copy of the data until one moves it at most
-    _SWITCH_STEP, or raises G by no more than the float32 slack; from then on
-    they read the float64 data, and only a float64 update can stop it at
-    _TOLERANCE. A start still active after _MAX_ITERS updates is neither
-    converged nor merged. Thetas are float64 throughout. After each iteration
+    a start that is never merged evaluates as it would alone. A start stops
+    once an update moves it at most _TOLERANCE; one still active after
+    _MAX_ITERS updates is neither converged nor merged. After each iteration
     an active start is merged (retired, neither converged nor active) when
     its signed cosine with a converged start, or with an active start of
     lower index, is at least _MERGE_COS: it has joined that start's ascent.
     Total updates include those of merged starts.
 
-    An update whose G falls below the previous update's G by more than the
-    slack counts as a violation: _ASCENT_SLACK relative when both values are
-    float64, _COARSE_SLACK when either is float32.
+    An update whose G falls below the previous update's G by more than
+    _ASCENT_SLACK, relative, counts as a violation.
     """
     Xt = np.ascontiguousarray(X.T)
     thetas = np.array(starts, dtype=float)
     n_starts, T = thetas.shape[0], X.shape[0]
     converged = np.zeros(n_starts, dtype=bool)
     active = np.ones(n_starts, dtype=bool)
-    coarse = np.ones(n_starts, dtype=bool)
     last_g = np.full(n_starts, np.nan)
-    last_slack = np.full(n_starts, _ASCENT_SLACK)  # relative slack of the dtype last_g came from
     total = violations = 0
-    rows = min(_BLOCK, n_starts)
-    buf = np.empty((rows, T))
-    kernels = {True: (Xt.astype(np.float32), np.empty((rows, T), np.float32), _COARSE_SLACK),
-               False: (Xt, buf, _ASCENT_SLACK)}
+    buf = np.empty((min(_BLOCK, n_starts), T))
 
     for _ in range(_MAX_ITERS):
         live = np.flatnonzero(active)
         if live.size == 0:
             break
         total += live.size
-        for low, group in ((True, live[coarse[live]]), (False, live[~coarse[live]])):
-            Xk, kbuf, rel = kernels[low]
-            for lo in range(0, group.size, _BLOCK):
-                idx = group[lo : lo + _BLOCK]
-                cur = thetas[idx]
-                w = kbuf[: idx.size]
-                g_here, wsum = _exp_shifted(Xk, r, cur.astype(Xk.dtype), w)
+        for lo in range(0, live.size, _BLOCK):
+            idx = live[lo : lo + _BLOCK]
+            cur = thetas[idx]
+            w = buf[: idx.size]
+            g_here, wsum = _exp_shifted(Xt, r, cur, w)
 
-                prev = last_g[idx]
-                slack = np.maximum(last_slack[idx], rel) * np.maximum(1.0, np.abs(prev))
-                violations += int(np.sum(g_here < prev - slack))  # NaN compares False
-                last_g[idx], last_slack[idx] = g_here, rel
+            prev = last_g[idx]
+            slack = _ASCENT_SLACK * np.maximum(1.0, np.abs(prev))
+            violations += int(np.sum(g_here < prev - slack))  # NaN compares False
+            last_g[idx] = g_here
 
-                new = _fixed_step(cur, (Xk @ w.T).T / wsum[:, None])
-                delta = np.linalg.norm(new - cur, axis=1)
-                thetas[idx] = new
-                if low:  # switch at a short step, or where float32 no longer sees G rise
-                    coarse[idx[(delta <= _SWITCH_STEP) | (g_here <= prev + slack)]] = False
-                    continue
-                done = delta <= _TOLERANCE
-                converged[idx[done]] = True
-                active[idx[done]] = False
+            new = _fixed_step(cur, (Xt @ w.T).T / wsum[:, None])
+            done = np.linalg.norm(new - cur, axis=1) <= _TOLERANCE
+            thetas[idx] = new
+            converged[idx[done]] = True
+            active[idx[done]] = False
 
         live = np.flatnonzero(active)
         pool = np.flatnonzero(active | converged)
@@ -417,7 +396,7 @@ def _ascend(
     # G at the candidates, closing their ascent check
     g_final = np.full(n_starts, np.nan)
     g_final[converged] = _batch_cgf(Xt.T, r, thetas[converged], buf)
-    slack = last_slack * np.maximum(1.0, np.abs(last_g))
+    slack = _ASCENT_SLACK * np.maximum(1.0, np.abs(last_g))
     violations += int(np.sum(g_final < last_g - slack))  # NaN on either side compares False
 
     return thetas, g_final, converged, ~(converged | active), total, violations
@@ -426,34 +405,35 @@ def _ascend(
 def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> MaximizerResult:
     """Multistart projected ascent of the sample CGF over the unit sphere.
 
-    Starts are drawn from ``config.seed``; each follows the fixed-step update,
-    in float32 while far from a maximum (module docstring), until a float64
-    update moves it at most _TOLERANCE (1e-7) or it has made _MAX_ITERS
-    (10,000) updates, or until it merges: within signed cosine _MERGE_COS
-    (1 - 1e-4) of a converged start or an active start of lower index, it
-    stops and counts as neither converged nor a candidate, though its updates
-    count in total_iterations. The signed test keeps +-theta (different CGF
-    values) apart, and no merge joins directions the dedup would keep.
-    Converged points are ranked by CGF value and near-duplicates (|cosine|
-    above _DEDUP_COS (0.995) with an already-kept, higher-valued direction)
-    are discarded; most starts land on the same handful of maxima, and for
-    symmetric data the +-theta pair collapses to one representative.
-    ``data`` is T x n in any memory layout; the result does not depend on the
-    layout.
+    The starts are the config.n_starts largest nonzero rows, normalized, or
+    all of them when there are fewer (module docstring). Each follows the
+    fixed-step update until an update moves it at most _TOLERANCE (1e-7) or
+    it has made _MAX_ITERS (10,000) updates, or until it merges: within
+    signed cosine _MERGE_COS (1 - 1e-4) of a converged start or an active
+    start of lower index, it stops and counts as neither converged nor a
+    candidate, though its updates count in total_iterations. The signed test
+    keeps +-theta (different CGF values) apart, and no merge joins directions
+    the dedup would keep. Converged points are ranked by CGF value and
+    near-duplicates (|cosine| above _DEDUP_COS (0.995) with an already-kept,
+    higher-valued direction) are discarded; for symmetric data the +-theta
+    pair collapses to one representative. ``data`` is T x n in any memory
+    layout; the result does not depend on the layout, nor the starts on the
+    row order.
 
-    Raises ConvergenceError (with partial results for all n_starts starts
-    attached) only when no start converges at all.
+    Raises ValueError when every row is zero, and ConvergenceError (with
+    partial results for every start) only when no start converges at all.
     """
     X = _rows(data)
     if not (r > 0):
         raise ValueError("r must be positive")
-    starts = sample_unit_sphere(X.shape[1], config.n_starts, config.seed)
-    thetas, values, converged, merged, total, violations = _ascend(X, r, starts)
+    Xt = np.ascontiguousarray(X.T)
+    thetas, values, converged, merged, total, violations = _ascend(
+        Xt.T, r, _row_starts(Xt, config.n_starts))
     counts = dict(total_iterations=total, ascent_violations=violations,
                   starts_converged=int(converged.sum()), starts_merged=int(merged.sum()))
 
     if not converged.any():
-        partial = MaximizerResult(thetas, _batch_cgf(X, r, thetas), **counts)
+        partial = MaximizerResult(thetas, _batch_cgf(Xt.T, r, thetas), **counts)
         raise ConvergenceError(f"no start converged within {_MAX_ITERS} iterations", partial)
 
     cand = np.flatnonzero(converged)
@@ -485,12 +465,16 @@ def refine_direction(values: np.ndarray, r: float, theta) -> tuple[np.ndarray, i
     halving drives t ||d|| below _TOLERANCE, H restarts at I/r; in the
     second case the plain Phi step is taken. H takes the rank-2 BFGS update
     from the step and gradient change projected onto the new tangent space,
-    skipped without positive curvature. Stops when ||Phi(theta) - theta|| <=
-    _TOLERANCE (1e-7) and returns Phi(theta).
+    skipped without positive curvature. Converges when ||Phi(theta) - theta||
+    <= _TOLERANCE (1e-7), then takes plain Phi steps, a contraction near a
+    maximum, until one moves it at most _POLISH (1e-9), and returns
+    Phi(theta): a BFGS end point at 1e-7 keeps its start's round-off, which
+    moved q-scores by 1.3e-8 under a row permutation (4.9e-10 after the steps).
 
     Returns (direction, kernel calls used, converged); backtracking trials
     count as calls. A run that reaches _MAX_ITERS (10,000) calls keeps the
-    Phi step of its last accepted point: the caller is tracking a local
+    Phi step of its last accepted point, and is converged if it reached
+    _TOLERANCE on the way: the caller is tracking a local
     maximum across small data changes, where that is the best available
     estimate. ``values`` are T x n rows, an array of any memory layout; a view
     over an n x T array is not copied.
@@ -511,13 +495,17 @@ def refine_direction(values: np.ndarray, r: float, theta) -> tuple[np.ndarray, i
     g, grad, phi = evaluate(theta)
     used = 1
     H = fresh = np.eye(theta.shape[0]) / r
-    radius = 0.0
+    radius, converged = 0.0, False
     while True:
         step = float(np.linalg.norm(phi - theta))
-        if step <= _TOLERANCE:
-            return phi, used, True
-        if used >= _MAX_ITERS:
-            return phi, used, False
+        converged = converged or step <= _TOLERANCE
+        if step <= _POLISH or used >= _MAX_ITERS:
+            return phi, used, converged
+        if converged:  # polish with plain Phi steps
+            theta = phi
+            phi = evaluate(theta)[2]
+            used += 1
+            continue
 
         d = H @ grad
         d -= (theta @ d) * theta

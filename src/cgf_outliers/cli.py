@@ -99,7 +99,8 @@ def _add_sim_args(p: argparse.ArgumentParser) -> None:
 
 def _add_detector_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-target", type=float, default=0.1, help="CGF relative error target")
-    p.add_argument("--starts", type=int, default=1000, help="multistart count")
+    p.add_argument("--starts", type=int, default=MultistartConfig.n_starts,
+                   help="multistart count: ascents start at this many largest rows")
     p.add_argument("--method", choices=[m.value for m in DetectionMethod], default="maxcgf")
 
 

@@ -21,7 +21,6 @@ from cgf_outliers import (
     maximize_cgf,
     refine_direction,
     relative_variance,
-    sample_unit_sphere,
     select_radius,
     unit_vector,
 )
@@ -188,16 +187,6 @@ def test_select_radius_validates_inputs():
         select_radius(1.0, 100, 1.5)
 
 
-def test_sample_unit_sphere_norms_and_determinism():
-    pts = sample_unit_sphere(7, 200, seed=1)
-    assert pts.shape == (200, 7)
-    assert np.abs(np.linalg.norm(pts, axis=1) - 1.0).max() < 1e-12
-    again = sample_unit_sphere(7, 200, seed=1)
-    assert np.array_equal(pts, again)
-    one_d = sample_unit_sphere(1, 50, seed=2)
-    assert set(np.unique(one_d)) <= {-1.0, 1.0}
-
-
 def test_maximize_two_point_symmetric():
     config = MultistartConfig(n_starts=20, seed=0)
     data = DataMatrix(np.array([[2.0, 1.0], [-2.0, -1.0]]))
@@ -260,7 +249,7 @@ def test_results_do_not_depend_on_the_memory_layout():
                np.divide(X.T, 1.0, order="C").T]
     config = MultistartConfig(n_starts=40, seed=12)
     ref = maximize_cgf(layouts[0], 0.9, config)
-    start = sample_unit_sphere(5, 1, seed=12)[0]
+    start = _random_directions(5, 1, seed=12)[0]
     ref_refine = refine_direction(layouts[0][:250], 0.9, start)
     for data in layouts[1:]:
         got = maximize_cgf(data, 0.9, config)
@@ -287,7 +276,7 @@ def test_batched_ascent_matches_per_start_runs(monkeypatch):
     rng = np.random.default_rng(21)
     X = rng.normal(size=(40, 3))
     X = X - X.mean(axis=0)
-    starts = sample_unit_sphere(3, 12, seed=21)
+    starts = _random_directions(3, 12, seed=21)
     thetas, _, converged, merged, _, _ = _ascend(X, 1.0, starts)
     assert merged.sum() >= 6 and not (converged & merged).any()
     for k in range(12):
@@ -354,7 +343,7 @@ def test_phi_never_lowers_the_cgf(heavy, T, n, r, seed):
     else:
         X = rng.exponential(size=(T, n)) * rng.uniform(0.2, 2.0, n)
     data = DataMatrix(X)
-    theta = sample_unit_sphere(n, 1, seed)[0]
+    theta = _random_directions(n, 1, seed)[0]
     g = cgf_estimate(data, r, theta)
     phi = unit_vector(theta + cgf_gradient(data, r, theta) / r)
     assert cgf_estimate(data, r, phi) >= g - 1e-12 * max(1.0, abs(g))
@@ -372,11 +361,11 @@ def test_multistart_config_validation():
     (lambda: cgf_gradient(TWO_POINT, -1.0, E1), "r must be nonnegative"),
     (lambda: relative_variance(1.0, 0.0, 100), "lambda1 must be positive"),
     (lambda: relative_variance(1.0, 1.0, 0), "T must be >= 1"),
-    (lambda: sample_unit_sphere(0, 5, seed=0), "n and count must be >= 1"),
-    (lambda: sample_unit_sphere(3, 0, seed=0), "n and count must be >= 1"),
     (lambda: maximize_cgf(TWO_POINT, 0.0, MultistartConfig(n_starts=1)), "r must be positive"),
-], ids=["theta-length", "theta-nan", "gradient-r", "rv-lambda1", "rv-T", "sphere-n",
-        "sphere-count", "maximize-r"])
+    (lambda: maximize_cgf(np.zeros((5, 3)), 1.0, MultistartConfig()),
+     "data has no nonzero row to start from"),
+], ids=["theta-length", "theta-nan", "gradient-r", "rv-lambda1", "rv-T", "maximize-r",
+        "maximize-zero-data"])
 def test_input_checks_name_the_problem(call, message):
     with pytest.raises(ValueError) as err:
         call()
@@ -390,6 +379,17 @@ def test_unit_vector():
         unit_vector(np.zeros(2))
 
 
+def _random_directions(n: int, count: int, seed: int) -> np.ndarray:
+    # count x n directions uniform on the sphere: normalized standard normals
+    v = np.random.default_rng(seed).standard_normal((count, n))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _starts(X: np.ndarray, config: MultistartConfig) -> np.ndarray:
+    # the starts maximize_cgf ascends from
+    return cgf_module._row_starts(np.ascontiguousarray(X.T), config.n_starts)
+
+
 def _skewed_data(seed: int, T: int = 400) -> DataMatrix:
     # independent exponential columns of unequal scale: skewed, with several CGF maxima
     rng = np.random.default_rng(seed)
@@ -399,10 +399,40 @@ def _skewed_data(seed: int, T: int = 400) -> DataMatrix:
 def test_batch_cgf_matches_estimate_across_blocks():
     rng = np.random.default_rng(31)
     data = center(DataMatrix(rng.normal(size=(70, 4))))
-    thetas = sample_unit_sphere(4, cgf_module._BLOCK + 44, seed=31)
+    thetas = _random_directions(4, cgf_module._BLOCK + 44, seed=31)
     values = _batch_cgf(data.values, 1.7, thetas)
     expected = np.array([cgf_estimate(data, 1.7, th) for th in thetas])
     np.testing.assert_allclose(values, expected, rtol=0, atol=1e-12)
+
+
+def test_starts_are_the_largest_rows_whatever_their_order():
+    # 48 rows of one norm, the signed permutations of (3, 2, 1), above 20 shorter
+    # rows: 5 starts must be picked from the tie by the rows' values, not their order
+    base = np.array([[a, b, c] for a in (-3, 3) for b in (-2, 2) for c in (-1, 1)], float)
+    tied = np.concatenate([base[:, order] for order in
+                           ([0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0])])
+    X = np.concatenate([tied, np.random.default_rng(3).uniform(-1, 1, size=(20, 3))])
+    starts = _starts(X, MultistartConfig(n_starts=5))
+    expected = tied[np.lexsort(tied.T[::-1])[:5]] / math.sqrt(14.0)
+    np.testing.assert_allclose(starts, expected, rtol=0, atol=1e-15)
+    for seed in range(5):
+        shuffled = X[np.random.default_rng(seed).permutation(len(X))]
+        np.testing.assert_array_equal(_starts(shuffled, MultistartConfig(n_starts=5)), starts)
+
+
+@pytest.mark.parametrize("T, n_starts", [(20, None), (100, 1000)],
+                         ids=["T-below-a-block", "more-starts-than-rows"])
+def test_every_nonzero_row_starts_when_rows_are_few(T, n_starts):
+    # a zero row is never a start: every other row is, once n_starts reaches T
+    X = center(DataMatrix(np.random.default_rng(T).normal(size=(T, 3)))).values.copy()
+    X[T // 2] = 0.0
+    config = MultistartConfig() if n_starts is None else MultistartConfig(n_starts=n_starts)
+    starts = _starts(X, config)
+    assert starts.shape == (T - 1, 3)
+    np.testing.assert_allclose(np.linalg.norm(starts, axis=1), 1.0, rtol=0, atol=1e-15)
+    result = maximize_cgf(X, 1.0, config)
+    assert result.starts_converged + result.starts_merged == T - 1
+    assert np.isfinite(result.directions).all() and np.isfinite(result.cgf_values).all()
 
 
 def test_maximize_with_more_starts_than_a_block(monkeypatch):
@@ -426,7 +456,7 @@ def test_refine_satisfies_first_order_condition_and_ascends():
     tol, r = cgf_module._TOLERANCE, 1.2
     for seed in range(5):
         data = _skewed_data(seed)
-        start = sample_unit_sphere(3, 1, seed=seed)[0]
+        start = _random_directions(3, 1, seed=seed)[0]
         theta, used, converged = refine_direction(data.values, r, start)
         assert converged and used >= 1
         assert abs(np.linalg.norm(theta) - 1.0) < 1e-12
@@ -439,7 +469,7 @@ def test_refine_satisfies_first_order_condition_and_ascends():
 def test_refine_reaches_the_fixed_step_maximum():
     for seed in range(5):
         data = _skewed_data(seed)
-        start = sample_unit_sphere(3, 1, seed=100 + seed)
+        start = _random_directions(3, 1, seed=100 + seed)
         theta, _, converged = refine_direction(data.values, 1.2, start[0])
         plain, _, plain_converged, _, _, _ = _ascend(data.values, 1.2, start)
         assert converged and plain_converged[0]
@@ -447,7 +477,7 @@ def test_refine_reaches_the_fixed_step_maximum():
 
         # tracking: warm starts at the maxima of 8 solo starts, after dropping random rows
         maxima = [_ascend(data.values, 1.2, s[None, :])[0][0]
-                  for s in sample_unit_sphere(3, 8, seed=100 + seed)]
+                  for s in _random_directions(3, 8, seed=100 + seed)]
         rng = np.random.default_rng(300 + seed)
         for theta0 in maxima:
             for frac in (0.01, 0.03, 0.1):
@@ -462,7 +492,7 @@ def test_refine_is_equivariant_under_row_permutation_and_rotation():
     for seed in range(5):
         data = _skewed_data(seed).values
         rng = np.random.default_rng(200 + seed)
-        start = sample_unit_sphere(3, 1, seed=200 + seed)[0]
+        start = _random_directions(3, 1, seed=200 + seed)[0]
         theta, used, converged = refine_direction(data, 1.2, start)
         assert converged
 
@@ -494,7 +524,7 @@ def test_refine_counts_every_kernel_call(monkeypatch):
     for seed in range(5):
         data = _skewed_data(seed, T=120)
         calls.clear()
-        _, used, _ = refine_direction(data.values, 1.5, sample_unit_sphere(3, 1, seed=seed)[0])
+        _, used, _ = refine_direction(data.values, 1.5, _random_directions(3, 1, seed=seed)[0])
         assert used == len(calls)
         calls.clear()
         with monkeypatch.context() as m:
@@ -506,8 +536,7 @@ def test_refine_counts_every_kernel_call(monkeypatch):
 def _solo_maxima(data: DataMatrix, r: float, config: MultistartConfig):
     # maximize_cgf without merging: each start ascends alone, then the same dedup
     X = data.values
-    runs = [_ascend(X, r, s[None, :])
-            for s in sample_unit_sphere(X.shape[1], config.n_starts, config.seed)]
+    runs = [_ascend(X, r, s[None, :]) for s in _starts(X, config)]
     ends = np.array([run[0][0] for run in runs if run[2][0]])
     values = _batch_cgf(X, r, ends)
     kept: list[int] = []
@@ -555,8 +584,8 @@ def test_start_counts_partition_the_starts(monkeypatch):
         monkeypatch.setattr(cgf_module, "_MAX_ITERS", max_iters)
         config = MultistartConfig(n_starts=80, seed=43)
         result = maximize_cgf(data, 1.1, config)
-        starts = sample_unit_sphere(4, config.n_starts, config.seed)
-        thetas, values, converged, merged, total, _ = _ascend(data.values, 1.1, starts)
+        thetas, values, converged, merged, total, _ = _ascend(
+            data.values, 1.1, _starts(data.values, config))
         # G only at the converged starts, the candidates; NaN elsewhere
         np.testing.assert_array_equal(values[converged],
                                       _batch_cgf(data.values, 1.1, thetas[converged]))
@@ -583,68 +612,3 @@ def test_only_same_sign_starts_merge():
         assert converged[1] == (sign < 0)
         if sign < 0:
             assert float(thetas[1] @ x_hat) < -1 + 1e-12
-
-
-def _phi_step(data, r: float, theta: np.ndarray) -> float:
-    # ||Phi(theta) - theta|| in float64, from the public gradient
-    phi = unit_vector(theta + cgf_gradient(data, r, theta) / r)
-    return float(np.linalg.norm(phi - theta))
-
-
-def _kernel_calls(monkeypatch) -> list:
-    # record (data dtype, rows) of every kernel call from here on
-    calls: list = []
-    kernel = cgf_module._exp_shifted
-
-    def counted(Xt, r, thetas, out):
-        calls.append((Xt.dtype.name, thetas.shape[0]))
-        return kernel(Xt, r, thetas, out)
-
-    monkeypatch.setattr(cgf_module, "_exp_shifted", counted)
-    return calls
-
-
-def _rows(calls: list, dtype: str) -> int:
-    return sum(rows for name, rows in calls if name == dtype)
-
-
-def test_maxima_are_certified_in_float64_at_detect_scale(monkeypatch):
-    # most updates run in float32, yet every returned maximum is a float64
-    # fixed point to the stopping tolerance, whatever the memory layout
-    calls = _kernel_calls(monkeypatch)
-    data, r = _experiment_data("normal", 7, T=2000)
-    X = data.values
-    config = MultistartConfig(n_starts=200, seed=7)
-    ref = maximize_cgf(np.ascontiguousarray(X), r, config)
-    assert _rows(calls, "float32") > _rows(calls, "float64")
-    assert ref.ascent_violations == 0 and ref.starts_converged >= len(ref) > 1
-    for theta in ref.directions:
-        assert _phi_step(data, r, theta) <= cgf_module._TOLERANCE
-    for layout in (np.asfortranarray(X), DataMatrix(X)):
-        got = maximize_cgf(layout, r, config)
-        assert (got.total_iterations, got.starts_converged, got.starts_merged) == (
-            ref.total_iterations, ref.starts_converged, ref.starts_merged)
-        assert np.array_equal(got.directions, ref.directions)
-
-
-@pytest.mark.parametrize("switch", [cgf_module._SWITCH_STEP, 0.0], ids=["default", "no-step-switch"])
-def test_no_start_stalls_in_float32_at_a_large_radius(monkeypatch, switch):
-    # at switch 0 only the rise test ends a start's float32 phase; without it
-    # starts at r 10 and 100 run float32 updates until _MAX_ITERS. Every start
-    # must converge, on a float64 update, or merge
-    monkeypatch.setattr(cgf_module, "_SWITCH_STEP", switch)
-    calls = _kernel_calls(monkeypatch)
-    data = center(DataMatrix(np.random.default_rng(5).normal(size=(400, 5))))
-    for r in (10.0, 100.0):
-        config = MultistartConfig(n_starts=40, seed=3)
-        result = maximize_cgf(data, r, config)
-        assert result.starts_converged + result.starts_merged == 40
-        assert result.ascent_violations == 0
-        for theta in result.directions:
-            assert _phi_step(data, r, theta) <= cgf_module._TOLERANCE
-        # alone, a start makes one kernel call per update, then the closing G
-        for start in sample_unit_sphere(5, 8, seed=3):
-            calls.clear()
-            converged = _ascend(data.values, r, start[None, :])[2]
-            assert converged[0]
-            assert calls[0][0] == "float32" and calls[-2][0] == calls[-1][0] == "float64"

@@ -25,7 +25,6 @@ from cgf_outliers import (
     sample_normal,
     select_radius,
 )
-import cgf_outliers.cgf as cgf_module
 from cgf_outliers.detector import _fix_sign
 
 
@@ -166,34 +165,26 @@ def test_global_scale_equivariance():
                         assert np.nanmax(np.abs(want.q_scores - got.q_scores[back])) < 1e-9, case
 
 
-def test_row_permutation_equivariance_where_float32_does_most_updates(monkeypatch):
-    # the multistart's float32 updates sum rows in the order given; its float64
-    # updates must wash that out before the stopping test, so the bound is the
-    # one test_global_scale_equivariance holds at T=500
-    rows = {"float32": 0, "float64": 0}
-    kernel = cgf_module._exp_shifted
-
-    def counted(Xt, r, thetas, out):
-        rows[Xt.dtype.name] += thetas.shape[0]
-        return kernel(Xt, r, thetas, out)
-
-    monkeypatch.setattr(cgf_module, "_exp_shifted", counted)
+def test_rotation_equivariance():
+    # the multistart starts at rows, which rotate with the data, so an
+    # orthogonal rotation changes the arithmetic only by round-off, as the
+    # scalings and permutation of test_global_scale_equivariance do
     sigma = default_covariance(30, 20.0, seed=0)
     for family, kw in (("normal", {}), ("student_t", {"nu": 5.0}), ("skew_normal", {})):
-        ds = inject_outliers(SimulationSpec(family=family, n=30, T=2000, seed=1,
-                                            sigma_mat=sigma, **kw))
-        cfg = DetectorConfig(beta=3.0, multistart=MultistartConfig(n_starts=200, seed=1))
-        X = ds.data.values
-        perm = np.random.default_rng(1).permutation(X.shape[0])
-        rows.update(float32=0, float64=0)
-        base = fit(ds.data, cfg)
-        assert rows["float32"] > rows["float64"], family
-        permuted = fit(DataMatrix(X[perm]), cfg)
-        for beta in (2.5, 3.5):
-            want, got = remove(base, beta), remove(permuted, beta)
-            back = np.argsort(perm)
-            assert np.array_equal(want.outlier_flags, got.outlier_flags[back]), (family, beta)
-            assert np.nanmax(np.abs(want.q_scores - got.q_scores[back])) < 1e-9, (family, beta)
+        for seed in range(3):
+            ds = inject_outliers(SimulationSpec(family=family, n=30, T=500, seed=seed,
+                                                sigma_mat=sigma, **kw))
+            rotation = np.linalg.qr(np.random.default_rng(seed).standard_normal((30, 30)))[0]
+            for method in ("maxcgf", "pca"):
+                cfg = DetectorConfig(beta=3.0, method=method,
+                                     multistart=MultistartConfig(n_starts=200, seed=seed))
+                base = fit(ds.data, cfg)
+                rotated = fit(DataMatrix(ds.data.values @ rotation), cfg)
+                for beta in (2.5, 3.5):
+                    want, got = remove(base, beta), remove(rotated, beta)
+                    case = (family, seed, method, beta)
+                    assert np.array_equal(want.outlier_flags, got.outlier_flags), case
+                    assert np.nanmax(np.abs(want.q_scores - got.q_scores)) < 1e-9, case
 
 
 def test_detection_error_when_everything_scores_above_beta():

@@ -41,6 +41,9 @@ RUNS = [
                     "--method", "pca", *DETECT]),
     ("detect-beta0.6", ["detect", "--data", "simulate-normal/data.csv", "--beta", "0.6",
                         *DETECT]),
+    # the one run at the default --starts, so a change to that default shows
+    ("detect-default-starts", ["detect", "--data", "simulate-skewnormal/data.csv", "--beta",
+                               "3", "--seed", "1"]),
     ("evaluate-maxcgf", ["evaluate", "--data", "simulate-skewnormal/data.csv", "--labels",
                          "simulate-skewnormal/labels.csv", *DETECT]),
     ("evaluate-pca-grid", ["evaluate", "--data", "simulate-studentt/data.csv", "--labels",
