@@ -32,13 +32,15 @@ so the buffer stays 64 x T, and retires (merges) a start once it lies within
 signed cosine 1 - 1e-4 of a converged start or of an active start of lower
 index: from there both climb to the same maximum, which the dedup (|cosine|
 0.995) would keep once (the clustering multistart of Rinnooy Kan & Timmer,
-Math. Programming 39, 1987). Re-estimating one maximum on changed data (the
-refine) is a Riemannian BFGS ascent on the sphere with Armijo backtracking,
-each step capped at a few lengths of the Phi step, or at twice a previous
-step along which G was concave. Both stop at ||Phi(theta) - theta|| <= 1e-7,
-or after 10,000 updates (kernel calls for the refine), and return Phi(theta);
-a converged refine first takes plain Phi steps down to a step of 1e-9.
-Everything runs in float64.
+Math. Programming 39, 1987). A start stops at ||Phi(theta) - theta|| <= 1e-7,
+or after 10,000 updates, and the multistart runs in float64. Re-estimating
+one maximum on changed data (the refine) is a Riemannian BFGS ascent on the
+sphere with Armijo backtracking, each step capped at a few lengths of the
+Phi step, or at twice a previous step along which G was concave. It runs on
+a float32 copy of the data, whose kernel calls cost about half as much,
+until the Phi step is at most 1e-3. It then certifies the maximum in
+float64 with Riemannian Newton steps, down to a step of 1e-13, within
+10,000 kernel calls in all, and returns Phi(theta).
 
 Phi never lowers G. F(theta) = G(theta) + (r/2) ||theta||^2 is convex
 because G is, and Phi(theta) = grad F / ||grad F||, so for unit theta
@@ -78,7 +80,9 @@ __all__ = [
 
 _ASCENT_SLACK = 1e-12  # relative G decrease counted as a violation
 _TOLERANCE = 1e-7  # an ascent stops once ||Phi(theta) - theta|| is at most this
-_POLISH = 1e-9  # a converged refine takes plain Phi steps until one moves it at most this
+_SWITCH = 1e-3  # the refine leaves its float32 copy once ||Phi(theta) - theta|| is at most this
+_CERTIFIED = 1e-13  # the refine returns once a float64 ||Phi(theta) - theta|| is at most this
+_CHORD = 0.1  # a Newton step that shrinks the Phi step at least this much keeps its Hessian
 _MAX_ITERS = 10_000  # updates per multistart start, kernel calls per refine
 _DEDUP_COS = 0.995  # |cosine| above which a lower-valued maximum is a duplicate
 _BLOCK = 64  # starts per kernel call in the multistart: a 64 x T buffer
@@ -450,87 +454,142 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
 def refine_direction(values: np.ndarray, r: float, theta) -> tuple[np.ndarray, int, bool]:
     """Single warm-started ascent run used to track a maximum on shrinking data.
 
-    Riemannian BFGS ascent of G on the unit sphere (Absil, Mahony & Sepulchre,
-    Optimization Algorithms on Matrix Manifolds, 2008, ch. 4 and 8; Huang,
-    Gallivan & Absil, SIAM J. Optim. 25(3), 2015). Each trial point costs one
-    kernel call, which gives G, the Riemannian gradient r(mu - (theta . mu)
-    theta) of the weighted row mean mu, and Phi (module docstring). The step
-    d = H grad, projected onto the tangent space, starts from H = I/r, the
-    fixed step's scale. Its length is capped at _STEP_CAP * ||Phi(theta) -
-    theta||, or at twice the previous step if G was concave along that one:
-    the cap keeps most runs at the maximum the plain map reaches, and the
-    doubling lets a run cross a flat maximum, where the Phi step is tiny, in
-    few steps. The step is halved along the retraction normalize(theta + t d)
-    until G rises by the Armijo margin. When d is no ascent direction, or
-    halving drives t ||d|| below _TOLERANCE, H restarts at I/r; in the
-    second case the plain Phi step is taken. H takes the rank-2 BFGS update
-    from the step and gradient change projected onto the new tangent space,
-    skipped without positive curvature. Converges when ||Phi(theta) - theta||
-    <= _TOLERANCE (1e-7), then takes plain Phi steps, a contraction near a
-    maximum, until one moves it at most _POLISH (1e-9), and returns
-    Phi(theta): a BFGS end point at 1e-7 keeps its start's round-off, which
-    moved q-scores by 1.3e-8 under a row permutation (4.9e-10 after the steps).
+    Every trial point costs one kernel call, which gives G, the weighted row
+    mean mu, the Riemannian gradient r(mu - (theta . mu) theta) and Phi
+    (module docstring). The run has two phases.
 
-    Returns (direction, kernel calls used, converged); backtracking trials
-    count as calls. A run that reaches _MAX_ITERS (10,000) calls keeps the
-    Phi step of its last accepted point, and is converged if it reached
-    _TOLERANCE on the way: the caller is tracking a local
-    maximum across small data changes, where that is the best available
-    estimate. ``values`` are T x n rows, an array of any memory layout; a view
-    over an n x T array is not copied.
+    Explore, on a float32 copy of the data: Riemannian BFGS ascent of G on
+    the unit sphere (Absil, Mahony & Sepulchre, Optimization Algorithms on
+    Matrix Manifolds, 2008, ch. 4 and 8; Huang, Gallivan & Absil, SIAM J.
+    Optim. 25(3), 2015). The step d = H grad, projected onto the tangent
+    space, starts from H = I/r, the fixed step's scale. Its length is capped
+    at _STEP_CAP * ||Phi(theta) - theta||, or at twice the previous step if G
+    was concave along that one: the cap keeps most runs at the maximum the
+    plain map reaches, and the doubling lets a run cross a flat maximum,
+    where the Phi step is tiny, in few steps. The step is halved along the
+    retraction normalize(theta + t d) until G rises by the Armijo margin.
+    When d is no ascent direction, H restarts at I/r; when halving drives
+    t ||d|| below _TOLERANCE, H restarts and the plain Phi step is taken. H
+    takes the rank-2 BFGS update from the step and gradient change projected
+    onto the new tangent space, skipped without positive curvature. The
+    phase ends once ||Phi(theta) - theta|| <= _SWITCH (1e-3).
+
+    Certify, on the float64 data from the same point: Riemannian Newton
+    steps (Absil et al., ch. 6). With P = I - theta theta^T and Sigma_w the
+    weighted covariance of the rows, the tangent Newton step d solves
+    (r (theta . mu) P - r^2 P Sigma_w P) d = grad. Sigma_w is a syrk of the
+    float64 data scaled by sqrt(w), from the kernel's weights w: no kernel
+    call, but as costly as about five at n = 30, so a Hessian serves the
+    next step too while its step shrinks the Phi step at least tenfold
+    (_CHORD). The step is taken when the float64 Phi step at
+    normalize(theta + d) is shorter. When the tangent Hessian is not
+    negative definite (Cholesky fails), or the Newton step is not shorter,
+    the BFGS step above is taken on the float64 data instead; after a
+    failed Cholesky no Hessian is formed until the Phi step has halved. The
+    run returns Phi(theta) at the first float64 ||Phi(theta) - theta|| <=
+    _CERTIFIED (1e-13). Once a float64 step of at most _TOLERANCE (1e-7) has
+    been reached (converged), it also returns at the first Newton step that
+    is not shorter: the float64 floor. The Phi step understates the
+    distance to a flat maximum, where Phi contracts slowly: at a step of
+    1e-11 a refine was still 1.8e-10 from its maximum.
+
+    Returns (direction, kernel calls used, converged); calls in either
+    precision and backtracking trials count. A run that reaches _MAX_ITERS
+    (10,000) calls keeps the Phi step of its last accepted point, and is
+    converged if it reached _TOLERANCE in float64 on the way: the caller is
+    tracking a local maximum across small data changes, where that is the
+    best available estimate. ``values`` are T x n rows, an array of any
+    memory layout; a view over an n x T array is not copied.
     """
     if not (r > 0):
         raise ValueError("r must be positive")
     Xt = np.ascontiguousarray(np.asarray(values, dtype=float).T)
-    buf = np.empty((1, Xt.shape[1]))
+    Xt32 = Xt.astype(np.float32)
+    scaled = np.empty_like(Xt)
+    data, buf = Xt32, np.empty((1, Xt.shape[1]), np.float32)
 
-    def evaluate(th: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        g, wsum = _exp_shifted(Xt, r, th[None, :], buf)
-        mu = (Xt @ buf[0]) / wsum[0]
+    def evaluate(th: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        g, wsum = _exp_shifted(data, r, th[None, :].astype(data.dtype), buf)
+        mu = (data @ buf[0]).astype(float) / wsum[0]
         v = th + mu  # Phi(th) = v / ||v||, or th where v is exactly zero
         norm = math.sqrt(v @ v)
-        return float(g[0]), r * (mu - (th @ mu) * th), v / norm if norm > 0.0 else th
+        return float(g[0]), r * (mu - (th @ mu) * th), v / norm if norm > 0.0 else th, mu
+
+    def hessian(th: np.ndarray, mu: np.ndarray) -> np.ndarray | None:
+        # -Hess on the tangent space plus th th^T, from the float64 weights in buf;
+        # None unless it is positive definite, that is, unless G is concave at th
+        w = buf[0]
+        np.multiply(Xt, np.sqrt(w), out=scaled)
+        cov = (scaled @ scaled.T) / w.sum() - np.outer(mu, mu)
+        P = np.eye(th.shape[0]) - np.outer(th, th)
+        M = r * (th @ mu) * P - r * r * (P @ cov @ P) + np.outer(th, th)
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            return None
+        return M
 
     theta = unit_vector(theta)
-    g, grad, phi = evaluate(theta)
+    g, grad, phi, mu = evaluate(theta)
     used = 1
     H = fresh = np.eye(theta.shape[0]) / r
     radius, converged = 0.0, False
+    M, hessian_below = None, math.inf
     while True:
         step = float(np.linalg.norm(phi - theta))
-        converged = converged or step <= _TOLERANCE
-        if step <= _POLISH or used >= _MAX_ITERS:
+        certify = data is Xt
+        converged = converged or (certify and step <= _TOLERANCE)
+        if (certify and step <= _CERTIFIED) or used >= _MAX_ITERS:
             return phi, used, converged
-        if converged:  # polish with plain Phi steps
-            theta = phi
-            phi = evaluate(theta)[2]
+        if not (certify or step > _SWITCH):  # a NaN step (float32 overflow) switches too
+            data, buf = Xt, np.empty((1, Xt.shape[1]))
+            g, grad, phi, mu = evaluate(theta)
             used += 1
             continue
 
-        d = H @ grad
-        d -= (theta @ d) * theta
-        slope = float(grad @ d)
-        if not slope > 0.0:
-            H = fresh
-            d = grad / r
-            slope = float(grad @ d)
-        d_norm = float(np.linalg.norm(d))
-        t = min(1.0, max(_STEP_CAP * step, radius) / d_norm)
-        while t * d_norm >= _TOLERANCE:
-            trial = theta + t * d
+        if certify and M is None and step < hessian_below:
+            M = hessian(theta, mu)
+            if M is None:  # not concave here: no Hessian until the step has halved
+                hessian_below = 0.5 * step
+        d = None if M is None else np.linalg.solve(M, grad)
+        if d is not None:
+            t, d_norm = 1.0, float(np.linalg.norm(d))
+            trial = theta + d
             trial /= np.linalg.norm(trial)
-            g_new, grad_new, phi_new = evaluate(trial)
+            g_new, grad_new, phi_new, mu_new = evaluate(trial)
             used += 1
-            if g_new >= g + _ARMIJO * t * slope:
-                break
-            if used >= _MAX_ITERS:
-                return phi, used, False
-            t *= 0.5
-        else:  # no step above _TOLERANCE ascends: the plain map, curvature dropped
-            theta, H, radius = phi, fresh, 0.0
-            g, grad, phi = evaluate(theta)
-            used += 1
-            continue
+            new_step = float(np.linalg.norm(phi_new - trial))
+            if not new_step <= _CHORD * step:  # the next step re-forms the Hessian
+                M = None
+            if not new_step < step:
+                if converged or used >= _MAX_ITERS:  # the float64 floor, or out of calls
+                    return phi, used, converged
+                d = None
+        if d is None:
+            d = H @ grad
+            d -= (theta @ d) * theta
+            slope = float(grad @ d)
+            if not slope > 0.0:
+                H = fresh
+                d = grad / r
+                slope = float(grad @ d)
+            d_norm = float(np.linalg.norm(d))
+            t = min(1.0, max(_STEP_CAP * step, radius) / d_norm) if d_norm > 0.0 else 0.0
+            while t * d_norm >= _TOLERANCE:
+                trial = theta + t * d
+                trial /= np.linalg.norm(trial)
+                g_new, grad_new, phi_new, mu_new = evaluate(trial)
+                used += 1
+                if g_new >= g + _ARMIJO * t * slope:
+                    break
+                if used >= _MAX_ITERS:
+                    return phi, used, converged
+                t *= 0.5
+            else:  # no step above _TOLERANCE ascends: the plain map, curvature dropped
+                theta, H, radius = phi, fresh, 0.0
+                g, grad, phi, mu = evaluate(theta)
+                used += 1
+                continue
 
         s = (trial @ theta) * trial - theta  # trial - theta, projected at trial
         y = grad - (trial @ grad) * trial - grad_new  # gradient change of -G
@@ -541,4 +600,4 @@ def refine_direction(values: np.ndarray, r: float, theta) -> tuple[np.ndarray, i
             Hy = H @ y
             half = np.outer(s, (0.5 * (1.0 + (y @ Hy) / sy) * s - Hy) / sy)
             H = H + half + half.T  # the inverse BFGS update, symmetric rank 2
-        theta, g, grad, phi = trial, g_new, grad_new, phi_new
+        theta, g, grad, phi, mu = trial, g_new, grad_new, phi_new, mu_new

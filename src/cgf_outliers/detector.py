@@ -146,8 +146,9 @@ class DetectionReport:
     removed it, or its score in the final surviving projection. Rows that were
     never scored keep NaN. outlier_flags is q_scores > beta.
     iterations_total counts every ascent map evaluation spent (multistart
-    updates plus re-estimation kernel calls, backtracking trials included;
-    the PCA baseline counts one per re-estimation). r_used is the projection
+    updates plus re-estimation kernel calls in float32 and float64,
+    backtracking trials included; forming a Hessian is not a call; the PCA
+    baseline counts one per re-estimation). r_used is the projection
     radius. A re-estimation that hits the refine's call limit (10,000)
     without converging keeps its last iterate; their number is reported in
     warnings.

@@ -533,6 +533,87 @@ def test_refine_counts_every_kernel_call(monkeypatch):
         assert used == len(calls) <= 3
 
 
+def _assert_first_order(X: np.ndarray, r: float, start, theta, converged: bool) -> None:
+    # the band of test_refine_satisfies_first_order_condition_and_ascends
+    assert converged
+    assert abs(np.linalg.norm(theta) - 1.0) < 1e-12
+    grad = cgf_gradient(X, r, theta)
+    tangential = grad - (grad @ theta) * theta
+    assert np.linalg.norm(tangential) <= 10 * cgf_module._TOLERANCE * np.linalg.norm(grad)
+    assert cgf_estimate(X, r, theta) >= cgf_estimate(X, r, start)
+
+
+def test_refine_recovers_where_its_step_is_no_ascent():
+    # at e1 and r = 0.05 the weighted row mean is -1.55 e1: the gradient is
+    # zero, so the BFGS step is no ascent direction, while Phi jumps to the
+    # maximum at -e1. The refine restarts H and takes the plain Phi step
+    X = np.array([[-5.0, 0.0], [1.0, 0.0]])
+    theta, used, converged = refine_direction(X, 0.05, E1)
+    _assert_first_order(X, 0.05, E1, theta, converged)
+    assert np.array_equal(theta, -E1)
+
+
+def test_refine_takes_the_bfgs_step_where_g_is_not_concave(monkeypatch):
+    # with the float32 phase empty the first Hessian is formed at the start,
+    # where the tangent Hessian is not negative definite: Cholesky fails and
+    # the refine takes float64 BFGS steps until Newton steps serve
+    monkeypatch.setattr(cgf_module, "_SWITCH", math.inf)
+    failures = []
+    cholesky = np.linalg.cholesky
+
+    def counted(M):
+        try:
+            return cholesky(M)
+        except np.linalg.LinAlgError:
+            failures.append(1)
+            raise
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    for seed in range(3):
+        data = _skewed_data(seed).values
+        start = _random_directions(3, 1, seed=seed)[0]
+        failures.clear()
+        theta, used, converged = refine_direction(data, 1.2, start)
+        assert failures
+        _assert_first_order(data, 1.2, start, theta, converged)
+
+
+def test_refine_ends_at_the_float64_floor(monkeypatch):
+    # with no step small enough to return on, a converged refine ends at the
+    # first Newton step that does not shrink the float64 Phi step
+    monkeypatch.setattr(cgf_module, "_CERTIFIED", -1.0)
+    for seed in range(3):
+        data = _skewed_data(seed).values
+        start = _random_directions(3, 1, seed=seed)[0]
+        theta, used, converged = refine_direction(data, 1.2, start)
+        assert used < cgf_module._MAX_ITERS
+        _assert_first_order(data, 1.2, start, theta, converged)
+
+
+def _phi_step(X: np.ndarray, r: float, theta: np.ndarray) -> float:
+    # ||Phi(theta) - theta|| in float64
+    v = theta + cgf_gradient(X, r, theta) / r
+    return float(np.linalg.norm(v / np.linalg.norm(v) - theta))
+
+
+def test_refine_certifies_in_float64_at_detect_scale(monkeypatch):
+    # a detect-large draw as the ascent sees it, less its 3% largest rows, as
+    # a removal pass drops heavy rows: from each multistart maximum the refine
+    # climbs in float32, and its end point is a float64 fixed point, where a
+    # refine without the float32 phase ends too
+    data, r = _experiment_data("normal", 9, T=10_000)
+    maxima = maximize_cgf(data, r, MultistartConfig()).directions
+    norms = np.linalg.norm(data.values, axis=1)
+    X = data.values[norms < np.quantile(norms, 0.97)]
+    ends = [refine_direction(X, r, theta0) for theta0 in maxima]
+    monkeypatch.setattr(cgf_module, "_SWITCH", math.inf)
+    for theta0, (theta, _, converged) in zip(maxima, ends):
+        assert converged
+        assert _phi_step(X, r, theta) <= 1e-11
+        in_float64, _, _ = refine_direction(X, r, theta0)
+        assert abs(float(theta @ in_float64)) >= 1 - 1e-9
+
+
 def _solo_maxima(data: DataMatrix, r: float, config: MultistartConfig):
     # maximize_cgf without merging: each start ascends alone, then the same dedup
     X = data.values

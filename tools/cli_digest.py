@@ -6,8 +6,11 @@ TREE is a source tree holding src/cgf_outliers (default: this repository). The
 runs go in-process through ``run_cli`` in a fresh temporary directory, with
 relative paths, so the paths echoed into the JSON reports are the same for
 every tree. Each run prints one line: its name, exit code, the sha256 of its
-stderr, and the sha256 of every file it wrote. Run it on a copy of the parent
-commit (``git archive``) and on the change, then compare the two outputs.
+stderr, and the sha256 of every file it wrote; a run that writes report.json
+also prints flags=<sha256> of its "flags" list alone, so a change that moves
+q-scores in the last digits but keeps every flag shows as such. Run it on a
+copy of the parent commit (``git archive``) and on the change, then compare
+the two outputs.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -80,6 +84,10 @@ def main(argv: list[str]) -> int:
                     for fname in sorted(os.listdir(name)):
                         with open(os.path.join(name, fname), "rb") as fh:
                             files.append(f"{fname}={_sha(fh.read())}")
+                if os.path.isfile(os.path.join(name, "report.json")):
+                    with open(os.path.join(name, "report.json"), "rb") as fh:
+                        flags = json.load(fh)["flags"]
+                    files.append(f"flags={_sha(json.dumps(flags).encode())}")
                 print(name, f"exit={code}", f"stderr={_sha(err.getvalue().encode())}", *files)
         finally:
             os.chdir(home)
