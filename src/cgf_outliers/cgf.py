@@ -452,7 +452,7 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
 
 
 def refine_direction(values: np.ndarray, r: float, theta) -> tuple[np.ndarray, int, bool]:
-    """Single warm-started ascent run used to track a maximum on shrinking data.
+    """Single warm-started ascent run from theta; the detector no longer calls it.
 
     Every trial point costs one kernel call, which gives G, the weighted row
     mean mu, the Riemannian gradient r(mu - (theta . mu) theta) and Phi

@@ -2,9 +2,9 @@
 
 Detection runs in two steps. `fit` does everything that does not depend on
 the threshold beta: it centers the data once, picks the projection radius
-from the relative-error rule, and pairs candidate directions (multistart CGF
-maxima, or PC1 for the baseline) with the method's re-estimator. `remove`
-then runs the removal loop at one beta, over the directions in
+from the relative-error rule, and finds the candidate directions (multistart
+CGF maxima, or PC1 for the baseline; PC1 comes with its re-estimator).
+`remove` then runs the removal loop at one beta, over the directions in
 CGF-descending order. Each direction makes passes, and every pass takes the
 same steps:
 
@@ -16,13 +16,19 @@ same steps:
    it would only strip the normal tail beyond beta MADs; a later pass ends
    the direction unless the kurtosis fell strictly below the previous pass's;
 4. score every row by q_t = |z_t - median(Z)| / MAD(Z) and remove the rows
-   above beta; the direction ends if fewer than 3 rows remain, and is
-   re-estimated on them otherwise, so every pass scores at least 3 rows.
+   above beta. A max-CGF direction ends there: it makes one pass. A pca
+   direction ends if fewer than 3 rows remain, and is re-estimated as PC1 of
+   the survivors otherwise, so every pass scores at least 3 rows.
 
-A pass that removes nothing ends the direction, the first pass included,
-since the rows it would re-estimate on are unchanged. Removals accumulate
-across directions, and every row scored above beta is reported as an outlier
-of the original matrix. `detect` is `remove(fit(data, config), config.beta)`;
+A max-CGF direction is not re-estimated on the survivors: a local ascent
+from it does not stay at its maximum but climbs to an unrelated one, whose
+passes then strip the bulk of the data. The later candidates are the
+multistart's other maxima of the whole sample, and each is scored once.
+
+A pass that removes nothing ends the direction, the first pass included:
+a pca re-estimate would see the same rows. Removals accumulate across
+directions, and every row scored above beta is reported as an outlier of the
+original matrix. `detect` is `remove(fit(data, config), config.beta)`;
 a beta sweep fits once and removes once per beta.
 
 The CGF ascent runs on the centered data divided by sqrt(lambda1), at radius
@@ -47,12 +53,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cgf
 from .cgf import (
     MultistartConfig,
     RadiusSelection,
     maximize_cgf,
-    refine_direction,
+    refine_direction,  # noqa: F401 -- perfbench/tracer.py wraps this binding
     select_radius,
 )
 from .linalg_stats import (
@@ -118,11 +123,14 @@ class DirectionTrace:
     """What happened along one candidate direction.
 
     kurtosis_trace starts with the projection's kurtosis on the rows alive when
-    the direction is reached and gains one entry per re-estimate. skipped means
-    no row was removed along it, and then it was never re-estimated. note says
-    why it ended early: "Gaussian projection" (the first kurtosis failed the
-    gate), "no score above beta" (the first pass removed nothing) or "constant
-    projection" (a pass, the first or a later one, had no kurtosis).
+    the direction is reached and gains one entry per pca re-estimate, so a
+    max-CGF direction has one entry; refine_iterations counts the pca
+    re-estimates and is 0 for max-CGF. final_direction is the last
+    re-estimate, or the initial direction. skipped means no row was removed
+    along it. note says why it ended early: "Gaussian projection" (the first
+    kurtosis failed the gate), "no score above beta" (the first pass removed
+    nothing) or "constant projection" (a pass, the first or a later one, had
+    no kurtosis).
     """
 
     initial_direction: np.ndarray
@@ -145,13 +153,9 @@ class DetectionReport:
     q_scores holds each observation's last computed score: the score that
     removed it, or its score in the final surviving projection. Rows that were
     never scored keep NaN. outlier_flags is q_scores > beta.
-    iterations_total counts every ascent map evaluation spent (multistart
-    updates plus re-estimation kernel calls in float32 and float64,
-    backtracking trials included; forming a Hessian is not a call; the PCA
-    baseline counts one per re-estimation). r_used is the projection
-    radius. A re-estimation that hits the refine's call limit (10,000)
-    without converging keeps its last iterate; their number is reported in
-    warnings.
+    iterations_total is the fit's multistart updates for max-CGF and the
+    number of PC1 re-estimates for the PCA baseline. r_used is the projection
+    radius.
     """
 
     outlier_flags: np.ndarray
@@ -173,14 +177,14 @@ class FittedDetector:
     """The beta-free part of detection; `remove` reads it and never changes it.
 
     candidates are (direction, CGF value or None) in loop order. reestimator
-    is called once per `remove` call and returns that call's re-estimate,
-    which maps the surviving rows (at least 3), the rows the pass just
-    dropped and a direction to (direction, evaluations, converged). The maxcgf
-    re-estimate ignores the dropped rows. The pca one starts from the rows'
-    mean and centered scatter, computed once by two passes, downdates both by
-    each pass's dropped rows, and recomputes them by two passes once the
-    scatter's trace falls below 1e-3 of its last two-pass value. iterations
-    and warnings open every report.
+    is None for maxcgf, whose directions make one pass each. For pca it is
+    called once per `remove` call and returns that call's re-estimate, which
+    maps the surviving rows (at least 3), the rows the pass just dropped and
+    a direction to (direction, evaluations, converged); `remove` does not read
+    converged. It starts from the rows' mean and centered scatter, computed
+    once by two passes, downdates both by each pass's dropped rows, and
+    recomputes them by two passes once the scatter's trace falls below 1e-3
+    of its last two-pass value. iterations and warnings open every report.
     """
 
     method: DetectionMethod
@@ -188,7 +192,7 @@ class FittedDetector:
     radius: RadiusSelection
     candidates: tuple[tuple[np.ndarray, float | None], ...]
     reestimator: Callable[[], Callable[[np.ndarray, np.ndarray, np.ndarray],
-                                      tuple[np.ndarray, int, bool]]]
+                                      tuple[np.ndarray, int, bool]]] | None
     iterations: int
     warnings: tuple[str, ...]
 
@@ -251,9 +255,9 @@ def _pc1_reestimate(mean: np.ndarray, scatter: np.ndarray):
 
 
 def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
-    """Center, select the radius, and pair the candidates with their re-estimator.
+    """Center, select the radius, and find the candidates.
 
-    maxcgf: multistart CGF maxima, re-estimated by a warm-started ascent.
+    maxcgf: multistart CGF maxima, each scored once, with no re-estimator.
     pca: PC1, re-estimated as PC1 of the cleaned rows from a downdated scatter.
     config.beta is not read.
     """
@@ -276,6 +280,7 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
             f"using the variance-minimizing radius (eps {r_sel.eps_achieved:.4g})"
         )
     iterations = 0
+    reestimator = None
     if config.method is DetectionMethod.MAX_CGF:
         scale = math.sqrt(lambda1)  # the ascent sees unit-lambda1 data at radius r * scale
         result = maximize_cgf(_scaled_rows(centered.values, scale), r * scale, config.multistart)
@@ -287,13 +292,6 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
             warnings.append(
                 f"{result.ascent_violations} ascent iterations decreased the objective"
             )
-
-        def reestimate(Y, dropped, theta):
-            return refine_direction(_scaled_rows(Y, scale), r * scale, theta)
-
-        def reestimator():
-            return reestimate
-
     else:
         candidates = ((_readonly(_fix_sign(cov.pc1)), None),)
         mean, scatter = (_readonly(a) for a in _centered_scatter(centered.values))
@@ -310,8 +308,8 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
     if not (0 < beta < math.inf):
         raise ValueError("beta must be positive and finite")
     warnings = list(fitted.warnings)
-    nonconverged = 0
-    reestimate = fitted.reestimator()
+    # max-CGF directions make one pass, whatever re-estimator the fit carries
+    reestimate = None if fitted.method is DetectionMethod.MAX_CGF else fitted.reestimator()
 
     scores = np.full(fitted.centered.n_obs, np.nan)
     alive = np.arange(scores.size)
@@ -365,16 +363,13 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
             if alive.size < 3:
                 trace.note = "too few rows to keep scoring"
                 break
+            if reestimate is None:
+                break
 
-            theta, used, converged = reestimate(Y, dropped, theta)
+            theta, used, _ = reestimate(Y, dropped, theta)
             trace.refine_iterations += used
-            nonconverged += not converged
             trace.final_direction = theta
 
-    if nonconverged:
-        warnings.append(
-            f"{nonconverged} re-estimation(s) hit max_iters={cgf._MAX_ITERS} without converging"
-        )
     return DetectionReport(
         outlier_flags=scores > beta,
         q_scores=scores,

@@ -125,9 +125,10 @@ def test_detect_is_deterministic():
 def test_location_shift_leaves_flags_unchanged():
     # centering absorbs the shift up to summation round-off; the multistart
     # keeps one start per maximum by index, not the best of a near-tie on G
-    # that round-off decides, so the q-scores agree for every seed
+    # that round-off decides, so the q-scores agree for every seed; a row that
+    # was never scored keeps NaN in both
     shift = np.array([5.0, -3.0, 2.0, 0.0, 1.0, 9.0])
-    for seed in range(40):
+    for seed in range(200):
         ds = inject_outliers(SimulationSpec(family="std_normal", n=6, T=80, seed=seed))
         for method in ("maxcgf", "pca"):
             cfg = DetectorConfig(beta=2.5, method=method,
@@ -135,7 +136,10 @@ def test_location_shift_leaves_flags_unchanged():
             base = detect(ds.data, cfg)
             moved = detect(DataMatrix(ds.data.values + shift), cfg)
             assert np.array_equal(base.outlier_flags, moved.outlier_flags), (seed, method)
-            assert np.nanmax(np.abs(base.q_scores - moved.q_scores)) < 1e-12, (seed, method)
+            scored = ~np.isnan(base.q_scores)
+            assert np.array_equal(scored, ~np.isnan(moved.q_scores)), (seed, method)
+            gap = np.abs(base.q_scores[scored] - moved.q_scores[scored])
+            assert gap.max(initial=0.0) < 1e-12, (seed, method)
 
 
 def test_global_scale_equivariance():
@@ -305,26 +309,29 @@ def test_flag_count_monotone_in_beta_on_average():
     assert counts[0] >= counts[1] >= counts[2]
 
 
-def test_nonconverged_refine_is_reported(monkeypatch):
+def test_maxcgf_directions_make_one_pass(monkeypatch):
+    # a max-CGF direction is scored once and never re-estimated, so the
+    # refine is never called and the report counts the multistart alone
     import cgf_outliers.detector as detector_module
 
-    real = detector_module.refine_direction
-    calls = []
+    def refine(*args):
+        raise AssertionError("a max-CGF direction was re-estimated")
 
-    def first_fails(*args):
-        theta, used, converged = real(*args)
-        calls.append(used)
-        return theta, used, converged and len(calls) > 1
-
-    monkeypatch.setattr(detector_module, "refine_direction", first_fails)
-    ds = inject_outliers(SimulationSpec(family="std_normal", n=4, T=100, seed=3))
-    cfg = DetectorConfig(beta=3.0, multistart=MultistartConfig(n_starts=20, seed=3))
-    report = detect(ds.data, cfg)
-    assert len(calls) >= 1
-    expected = "1 re-estimation(s) hit max_iters=10000 without converging"
-    assert report.warnings.count(expected) == 1
-    monkeypatch.setattr(detector_module, "refine_direction", real)
-    assert not any("re-estimation" in w for w in detect(ds.data, cfg).warnings)
+    monkeypatch.setattr(detector_module, "refine_direction", refine)
+    removed = 0
+    for seed in range(3):
+        ds = inject_outliers(SimulationSpec(family="std_normal", n=4, T=100, seed=seed))
+        fitted = fit(ds.data, DetectorConfig(beta=3.0,
+                                             multistart=MultistartConfig(n_starts=20, seed=seed)))
+        assert fitted.reestimator is None
+        for beta in (1.5, 3.0):
+            report = remove(fitted, beta)
+            assert report.iterations_total == fitted.iterations
+            for trace in report.directions_used:
+                assert len(trace.kurtosis_trace) == 1 and trace.refine_iterations == 0
+                assert trace.final_direction is trace.initial_direction
+                removed += trace.removed
+    assert removed > 0
 
 
 def test_ascent_violations_are_reported(monkeypatch):
@@ -365,13 +372,13 @@ def _counting_reestimates(fitted):
 def test_each_reestimate_after_the_first_follows_a_productive_pass():
     # the acceptance price fixture's returns: 200 calm days, then 40 at 10x
     # variance; a direction that re-estimated after passes that removed
-    # nothing crept here for thousands of passes, and at seed 2, beta 6 one
-    # direction's first pass removes nothing
+    # nothing crept here for thousands of passes. PC1 is the one direction
+    # that is re-estimated
     for seed, beta in [(0, 4.0), (1, 4.0), (2, 4.0), (2, 6.0)]:
         rng = np.random.default_rng(seed)
         returns = np.concatenate([rng.normal(0.0, 0.01, (200, 8)),
                                   rng.normal(0.0, 0.01 * np.sqrt(10.0), (40, 8))])
-        cfg = DetectorConfig(beta=beta, multistart=MultistartConfig(n_starts=50, seed=seed))
+        cfg = DetectorConfig(beta=beta, method="pca")
         fitted, calls = _counting_reestimates(fit(DataMatrix(returns), cfg))
         report = remove(fitted, cfg.beta)
         assert calls
@@ -467,16 +474,16 @@ def test_every_reestimate_sees_at_least_three_rows():
 
 
 def test_clean_correlated_normal_flag_rate_is_bounded():
-    # no outliers planted: every flag is a false positive. The bound is three
-    # quarters of the 22.0% mean that removal along every multistart maximum
-    # gave on these ten draws
+    # no outliers planted: every flag is a false positive. With one pass per
+    # maximum, blocks of ten seeds in 0-99 average 6.3-9.1% (9.1% on these);
+    # re-estimating each maximum on the survivors averaged 14.4% and reached 16.4%
     sigma = default_covariance(30, 20.0, seed=0)
     rates = []
     for seed in range(10):
         data = sample_normal(sigma, 500, seed)
         cfg = DetectorConfig(beta=3.25, multistart=MultistartConfig(n_starts=200, seed=seed))
         rates.append(detect(data, cfg).outlier_flags.mean())
-    assert np.mean(rates) <= 0.165
+    assert np.mean(rates) <= 0.12
 
 
 def _assert_same_report(a, b):

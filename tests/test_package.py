@@ -61,15 +61,16 @@ def test_the_benchmark_tracer_observes_a_detect_and_a_sweep():
         counts = dict(tracer.counts)
         curve = cgf_outliers.evaluation.roc_sweep(ds, "maxcgf", grid, config)
     assert tracer.problems == []
-    assert (counts["cgf.maximize_cgf.iterations"] + counts["cgf.refine_direction.iterations"]
-            == report.iterations_total)
+    # max-CGF directions are never re-estimated: every iteration is the multistart's
+    assert counts.get("cgf.refine_direction.iterations", 0) == 0
+    assert counts["cgf.maximize_cgf.iterations"] == report.iterations_total > 0
 
     # the sweep fits once and removes once per beta
     fitted = cgf_outliers.fit(ds.data, config)
-    refines = sum(cgf_outliers.remove(fitted, beta).iterations_total - fitted.iterations
-                  for beta in grid)
+    assert all(cgf_outliers.remove(fitted, beta).iterations_total == fitted.iterations
+               for beta in grid)
     swept = {name: tracer.counts[name] - counts.get(name, 0) for name in tracer.counts}
     assert len(curve.failures) == swept["evaluation.roc_sweep.failures"] == 0
     assert swept["cgf.maximize_cgf.iterations"] == fitted.iterations
-    assert swept["cgf.refine_direction.iterations"] == refines > 0
+    assert swept.get("cgf.refine_direction.iterations", 0) == 0
     assert tracer.span_totals()["cgf.maximize_cgf"]["calls"] == 2
