@@ -14,12 +14,12 @@ X^T W^T. Callers pass T x n rows; a view over an n x T array (as
 `detector.fit` makes) is used without a copy, any other layout is transposed
 once per call.
 
-Directions that locally maximize G over the unit sphere are found by a
-fixed-step projected ascent restarted from the rows of largest norm; with
-step 1/r the unnormalized update lands exactly on the weighted row mean, so
-each iteration applies the map
+Directions that locally maximize G over the unit sphere are found by the
+generalized power method (Journee, Nesterov, Richtarik & Sepulchre, JMLR 11,
+2010) restarted from the rows of largest norm: each iteration moves to the
+normalized weighted row sum, the gradient's direction (the weight sum cancels):
 
-    Phi(theta) = normalize(theta + weighted_row_mean(theta)).
+    Psi(theta) = normalize(X^T w(theta)) = grad G / ||grad G||.
 
 A start is a nonzero row normalized to x_t/|x_t|: as r grows, G tends to
 r * max_t theta . X_t - ln T, largest exactly at the normalized largest row
@@ -32,21 +32,26 @@ so the buffer stays 64 x T, and retires (merges) a start once it lies within
 signed cosine 1 - 1e-4 of a converged start or of an active start of lower
 index: from there both climb to the same maximum, which the dedup (|cosine|
 0.995) would keep once (the clustering multistart of Rinnooy Kan & Timmer,
-Math. Programming 39, 1987). A start stops at ||Phi(theta) - theta|| <= 1e-7,
-or after 10,000 updates, and the multistart runs in float64. Re-estimating
-one maximum on changed data (the refine) is a Riemannian BFGS ascent on the
-sphere with Armijo backtracking, each step capped at a few lengths of the
-Phi step, or at twice a previous step along which G was concave. It runs on
-a float32 copy of the data, whose kernel calls cost about half as much,
-until the Phi step is at most 1e-3. It then certifies the maximum in
-float64 with Riemannian Newton steps, down to a step of 1e-13, within
-10,000 kernel calls in all, and returns Phi(theta).
+Math. Programming 39, 1987). A start stops at ||Psi(theta) - theta|| <=
+1e-7, which bounds the sine of the angle between theta and grad G(theta), or
+after 10,000 updates, and the multistart runs in float64. A converged start
+returns theta with the G its kernel call computed, not the unevaluated Psi.
 
-Phi never lowers G. F(theta) = G(theta) + (r/2) ||theta||^2 is convex
-because G is, and Phi(theta) = grad F / ||grad F||, so for unit theta
-F(Phi) >= F(theta) + grad F . (Phi - theta) >= F(theta) (Cauchy-Schwarz);
-F - G is constant on the sphere. This is the generalized power method of
-Journee, Nesterov, Richtarik & Sepulchre (JMLR 11, 2010).
+Psi never lowers G: G is convex, so for unit theta (Cauchy-Schwarz)
+G(Psi) >= G(theta) + grad G . (Psi - theta)
+        = G(theta) + ||grad G|| - grad G . theta >= G(theta).
+
+The refine re-estimates one maximum on changed data. The detector no longer
+calls it, and until it is deleted it steps with the shifted map
+Phi(theta) = normalize(theta + weighted_row_mean(theta)) = grad F / ||grad F||,
+F = G + (r/2) ||theta||^2, which never lowers G by the same argument (F - G
+is constant on the sphere) but contracts more slowly. It is a Riemannian
+BFGS ascent on the sphere with Armijo backtracking, each step capped at a few
+lengths of the Phi step, or at twice a previous step along which G was
+concave. It runs on a float32 copy of the data, whose kernel calls cost about
+half as much, until the Phi step is at most 1e-3. It then certifies the
+maximum in float64 with Riemannian Newton steps, down to a step of 1e-13,
+within 10,000 kernel calls in all, and returns Phi(theta).
 
 The projection radius is chosen from the closed-form relative variance of the
 CGF estimator, which depends on r only through a = r**2 * lambda1: the error
@@ -79,7 +84,7 @@ __all__ = [
 ]
 
 _ASCENT_SLACK = 1e-12  # relative G decrease counted as a violation
-_TOLERANCE = 1e-7  # an ascent stops once ||Phi(theta) - theta|| is at most this
+_TOLERANCE = 1e-7  # stop once an ascent's map (Psi, or the refine's Phi) moves theta at most this
 _SWITCH = 1e-3  # the refine leaves its float32 copy once ||Phi(theta) - theta|| is at most this
 _CERTIFIED = 1e-13  # the refine returns once a float64 ||Phi(theta) - theta|| is at most this
 _CHORD = 0.1  # a Newton step that shrinks the Phi step at least this much keeps its Hessian
@@ -140,13 +145,15 @@ class MultistartConfig:
 class MaximizerResult:
     """Distinct local maxima found by the multistart, CGF-descending.
 
-    directions[k] is a unit row vector and cgf_values[k] its sample CGF.
-    total_iterations sums updates over every start, kept, dropped by the dedup
-    or merged; ascent_violations counts iterations whose CGF decreased beyond
-    slack, relative 1e-12 (_ASCENT_SLACK), which Phi rules out in exact
-    arithmetic (module docstring), so a nonzero count flags round-off or a
-    broken kernel; the last step of a merged or unconverged start is not
-    checked. Of the min(n_starts, nonzero rows) starts, starts_converged
+    directions[k] is a unit row vector, the last point its start evaluated,
+    whose angle to grad G has sine at most _TOLERANCE (module docstring);
+    cgf_values[k] is the G of that last checked update, from the same kernel
+    call. total_iterations sums updates over every start, kept, dropped by
+    the dedup or merged; ascent_violations counts updates whose CGF fell
+    beyond slack, relative 1e-12 (_ASCENT_SLACK), which Psi rules out in
+    exact arithmetic, so a nonzero count flags round-off or a broken kernel;
+    the last update of a merged or unconverged start is never evaluated, so
+    not checked. Of the min(n_starts, nonzero rows) starts, starts_converged
     converged, starts_merged were retired on joining another start's ascent
     (maximize_cgf), and the rest hit _MAX_ITERS.
     """
@@ -314,46 +321,35 @@ def _exp_shifted(
     return m + np.log(wsum / out.shape[1]), wsum
 
 
-def _batch_cgf(
-    X: np.ndarray, r: float, thetas: np.ndarray, buf: np.ndarray | None = None
-) -> np.ndarray:
-    # buf, when given, is a kernel buffer with at least min(_BLOCK, len(thetas)) rows
+def _batch_cgf(X: np.ndarray, r: float, thetas: np.ndarray) -> np.ndarray:
     Xt = np.ascontiguousarray(X.T)
     values = np.empty(thetas.shape[0])
-    if buf is None:
-        buf = np.empty((min(_BLOCK, thetas.shape[0]), X.shape[0]))
+    buf = np.empty((min(_BLOCK, thetas.shape[0]), X.shape[0]))
     for lo in range(0, thetas.shape[0], _BLOCK):
         block = thetas[lo : lo + _BLOCK]
         values[lo : lo + block.shape[0]] = _exp_shifted(Xt, r, block, buf[: block.shape[0]])[0]
     return values
 
 
-def _fixed_step(cur: np.ndarray, step: np.ndarray) -> np.ndarray:
-    # Phi on each row: normalize(cur + step); a row whose sum is exactly zero stays put
-    new = cur + step
-    norms = np.linalg.norm(new, axis=1, keepdims=True)
-    stalled = norms == 0.0
-    return np.where(stalled, cur, new / np.where(stalled, 1.0, norms))
-
-
 def _ascend(
     X: np.ndarray, r: float, starts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """Fixed-step projected ascent from each row of ``starts``.
+    """Normalized-gradient ascent (Psi, module docstring) from each row of ``starts``.
 
     ``X`` holds T x n rows, read through the kernel's n x T layout (module
     docstring). Returns (final thetas, G at each final theta, converged mask,
     merged mask, total updates, ascent violations); the merged mask is every
-    start neither converged nor still active. G is NaN at the starts
-    that did not converge. Every iteration advances all
+    start neither converged nor still active. Every iteration advances all
     active starts, _BLOCK at a time; rows are arithmetically independent, so
-    a start that is never merged evaluates as it would alone. A start stops
-    once an update moves it at most _TOLERANCE; one still active after
+    a start that is never merged evaluates as it would alone. A start
+    converges once Psi would move it at most _TOLERANCE, and keeps the point
+    just evaluated with that kernel call's G. G is NaN at the other starts,
+    which end at their unevaluated last update; one still active after
     _MAX_ITERS updates is neither converged nor merged. After each iteration
     an active start is merged (retired, neither converged nor active) when
     its signed cosine with a converged start, or with an active start of
     lower index, is at least _MERGE_COS: it has joined that start's ascent.
-    Total updates include those of merged starts.
+    Total updates, one kernel evaluation each, include merged starts'.
 
     An update whose G falls below the previous update's G by more than
     _ASCENT_SLACK, relative, counts as a violation.
@@ -376,16 +372,19 @@ def _ascend(
             idx = live[lo : lo + _BLOCK]
             cur = thetas[idx]
             w = buf[: idx.size]
-            g_here, wsum = _exp_shifted(Xt, r, cur, w)
+            g_here, _ = _exp_shifted(Xt, r, cur, w)
 
             prev = last_g[idx]
             slack = _ASCENT_SLACK * np.maximum(1.0, np.abs(prev))
             violations += int(np.sum(g_here < prev - slack))  # NaN compares False
             last_g[idx] = g_here
 
-            new = _fixed_step(cur, (Xt @ w.T).T / wsum[:, None])
+            # normalize(X^T w) = grad G / ||grad G||; a row whose sum is exactly zero stays put
+            new = (Xt @ w.T).T
+            norms = np.linalg.norm(new, axis=1, keepdims=True)
+            new = np.where(norms == 0.0, cur, new / np.where(norms == 0.0, 1.0, norms))
             done = np.linalg.norm(new - cur, axis=1) <= _TOLERANCE
-            thetas[idx] = new
+            thetas[idx[~done]] = new[~done]  # a converged start keeps the point G was taken at
             converged[idx[done]] = True
             active[idx[done]] = False
 
@@ -397,12 +396,7 @@ def _ascend(
             near = (thetas[idx] @ anchors >= _MERGE_COS) & (ahead | (pool < idx[:, None]))
             active[idx[near.any(axis=1)]] = False
 
-    # G at the candidates, closing their ascent check
-    g_final = np.full(n_starts, np.nan)
-    g_final[converged] = _batch_cgf(Xt.T, r, thetas[converged], buf)
-    slack = _ASCENT_SLACK * np.maximum(1.0, np.abs(last_g))
-    violations += int(np.sum(g_final < last_g - slack))  # NaN on either side compares False
-
+    g_final = np.where(converged, last_g, np.nan)  # G at each converged start's last point
     return thetas, g_final, converged, ~(converged | active), total, violations
 
 
@@ -410,9 +404,9 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
     """Multistart projected ascent of the sample CGF over the unit sphere.
 
     The starts are the config.n_starts largest nonzero rows, normalized, or
-    all of them when there are fewer (module docstring). Each follows the
-    fixed-step update until an update moves it at most _TOLERANCE (1e-7) or
-    it has made _MAX_ITERS (10,000) updates, or until it merges: within
+    all of them when there are fewer (module docstring). Each follows Psi
+    until Psi would move it at most _TOLERANCE (1e-7), where it stays, or
+    until it has made _MAX_ITERS (10,000) updates, or until it merges: within
     signed cosine _MERGE_COS (1 - 1e-4) of a converged start or an active
     start of lower index, it stops and counts as neither converged nor a
     candidate, though its updates count in total_iterations. The signed test

@@ -336,7 +336,8 @@ def test_refine_direction_warm_start(monkeypatch):
 @given(heavy=st.booleans(), T=st.integers(2, 200), n=st.integers(1, 8),
        r=st.floats(0.05, 5.0), seed=st.integers(0, 2**32 - 1))
 def test_phi_never_lowers_the_cgf(heavy, T, n, r, seed):
-    # Phi = grad F / ||grad F|| for the convex F = G + (r/2)||theta||^2 (module docstring)
+    # the refine's Phi = grad F / ||grad F|| for the convex F = G + (r/2)||theta||^2, and
+    # the multistart's Psi = grad G / ||grad G|| for the convex G (module docstring)
     rng = np.random.default_rng(seed)
     if heavy:
         X = rng.standard_t(2.0, size=(T, n))
@@ -345,8 +346,11 @@ def test_phi_never_lowers_the_cgf(heavy, T, n, r, seed):
     data = DataMatrix(X)
     theta = _random_directions(n, 1, seed)[0]
     g = cgf_estimate(data, r, theta)
-    phi = unit_vector(theta + cgf_gradient(data, r, theta) / r)
+    grad = cgf_gradient(data, r, theta)
+    phi = unit_vector(theta + grad / r)
     assert cgf_estimate(data, r, phi) >= g - 1e-12 * max(1.0, abs(g))
+    psi = unit_vector(grad) if np.any(grad != 0.0) else theta  # a zero sum stays put
+    assert cgf_estimate(data, r, psi) >= g - 1e-12 * max(1.0, abs(g))
 
 
 def test_multistart_config_validation():
@@ -656,6 +660,23 @@ def test_merged_multistart_matches_solo_runs():
         assert len(result) == len(directions)
         np.testing.assert_allclose(result.directions, directions, rtol=0, atol=1e-5)
         np.testing.assert_allclose(result.cgf_values, values, rtol=0, atol=1e-10)
+
+
+def test_candidates_carry_the_certificate_of_the_stop_rule():
+    # a candidate is the point the stop rule measured: ||Psi(theta) - theta|| <= _TOLERANCE
+    # bounds the sine of its angle to grad G there, and its value is G at that same point
+    heavy = center(DataMatrix(np.random.default_rng(5).standard_t(2.0, size=(600, 4))))
+    cases = [(_skewed_data(seed), 1.2) for seed in range(3)]
+    cases += [(heavy, 0.7), _experiment_data("normal", 7, T=10_000)]
+    for data, r in cases:
+        result = maximize_cgf(data, r, MultistartConfig())
+        assert len(result) >= 1
+        for theta, value in zip(result.directions, result.cgf_values):
+            grad = cgf_gradient(data, r, theta)
+            sine = np.linalg.norm(grad - (grad @ theta) * theta) / np.linalg.norm(grad)
+            assert grad @ theta > 0.0
+            assert sine <= cgf_module._TOLERANCE * (1 + 1e-6)  # 1e-6: the gradient's rounding
+            np.testing.assert_allclose(value, cgf_estimate(data, r, theta), rtol=1e-12, atol=0)
 
 
 def test_start_counts_partition_the_starts(monkeypatch):
