@@ -29,25 +29,38 @@ A pass that removes nothing ends the direction, the first pass included:
 a pca re-estimate would see the same rows. Removals accumulate across
 directions, and every row scored above beta is reported as an outlier of the
 original matrix. `detect` is `remove(fit(data, config), config.beta)`;
-a beta sweep fits once and removes once per beta.
+a beta sweep fits once and runs its betas' removal loops on that fit.
 
 The CGF ascent runs on the centered data divided by sqrt(lambda1), at radius
 r * sqrt(lambda1): G and the q-scores are unchanged, and the ascent's path no
 longer depends on the scale of the data.
 
-The pca re-estimate is PC1 of the survivors' covariance, taken by `eigh` from
-a centered scatter that one `remove` call keeps up to date: the fit computes
-the rows' mean and scatter once, by two passes, and each pass downdates both
-by the k rows it dropped at O(k n^2), instead of reading all m survivors.
-Removing rows that dominate the scatter would cancel its digits, so once its
-trace falls below 1e-3 of its value at the last two-pass computation, the
-re-estimate computes mean and scatter again by two passes over the survivors.
+The pca re-estimate is PC1 of the survivors' centered scatter, which each
+removal loop keeps up to date: the fit computes the rows' mean and scatter
+once, by two passes, and each pass downdates both by the k rows it dropped
+at O(k n^2), instead of reading all m survivors. Removing rows that dominate
+the scatter would cancel its digits, so once its trace falls below 1e-3 of
+its value at the last two-pass computation, the re-estimate computes mean
+and scatter again by two passes over the survivors.
+
+`remove_many` runs the loops of several betas in lockstep, and `remove` is
+the same driver with one beta. A loop that needs a re-estimate pauses and
+hands over the downdated scatter; once every unfinished loop has paused or
+ended, one stacked solve computes all the PC1s they wait for. The solve
+squares each trace-normalized scatter M until ||M||_F^2 >= 1 - 1e-13. For a
+PSD M of trace 1 that is a lower bound on the top eigenvalue's share of the
+trace, so the column of M with the largest diagonal is within about
+sqrt(n) * 1e-13 of PC1. A scatter not certified within a fixed number of
+squarings (lambda1 close to lambda2, or a zero trace) gets `eigh`'s PC1.
+Every step of the solve acts on each matrix alone, so a beta's report is
+the same bits whichever betas share its solves.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -80,6 +93,7 @@ __all__ = [
     "q_scores",
     "fit",
     "remove",
+    "remove_many",
     "detect",
 ]
 
@@ -90,6 +104,11 @@ _GATE_SE = 3.0  # standard errors of the normal kurtosis above 3 a direction mus
 # which keeps the error near 1e-12 of the current trace. Without it, dropping
 # one row scaled by 1e6 moved q-scores by 1e-4, and one scaled by 1e8 changed flags.
 _RECOMPUTE_BELOW = 1e-3
+# The PC1 solve's certificate: ||M||_F^2 of a trace-one PSD matrix bounds its
+# top eigenvalue from below. Student-t re-estimates at n=30 need 6-17 squarings
+# to reach it; a matrix still short of it after the cap goes to eigh.
+_CERTIFIED = 1.0 - 1e-13
+_SQUARINGS = 16
 
 
 class DetectionError(RuntimeError):
@@ -178,13 +197,16 @@ class FittedDetector:
 
     candidates are (direction, CGF value or None) in loop order. reestimator
     is None for maxcgf, whose directions make one pass each. For pca it is
-    called once per `remove` call and returns that call's re-estimate, which
-    maps the surviving rows (at least 3), the rows the pass just dropped and
-    a direction to (direction, evaluations, converged); `remove` does not read
-    converged. It starts from the rows' mean and centered scatter, computed
-    once by two passes, downdates both by each pass's dropped rows, and
-    recomputes them by two passes once the scatter's trace falls below 1e-3
-    of its last two-pass value. iterations and warnings open every report.
+    called once per removal loop and returns that loop's re-estimate,
+    reestimate(alive, dropped, theta) -> scatter. It maps the indices of the
+    surviving rows of `centered` (at least 3), the rows the pass just dropped
+    and the current direction to an n x n symmetric PSD matrix, the
+    survivors' centered scatter; the loop's next direction is that matrix's
+    PC1, from the batched solve. It starts from the rows' mean and centered
+    scatter, computed once by two passes, downdates both by each pass's
+    dropped rows, and recomputes them by two passes once the scatter's trace
+    falls below 1e-3 of its last two-pass value. iterations and warnings open
+    every report.
     """
 
     method: DetectionMethod
@@ -192,7 +214,7 @@ class FittedDetector:
     radius: RadiusSelection
     candidates: tuple[tuple[np.ndarray, float | None], ...]
     reestimator: Callable[[], Callable[[np.ndarray, np.ndarray, np.ndarray],
-                                      tuple[np.ndarray, int, bool]]] | None
+                                      np.ndarray]] | None
     iterations: int
     warnings: tuple[str, ...]
 
@@ -226,32 +248,66 @@ def _centered_scatter(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, dev.T @ dev
 
 
-def _pc1_reestimate(mean: np.ndarray, scatter: np.ndarray):
-    """One `remove` call's PCA re-estimate, starting from the fit rows' mean and scatter.
+def _pc1_reestimate(values: np.ndarray, mean: np.ndarray, scatter: np.ndarray):
+    """One removal loop's PCA re-estimate, starting from the fit rows' mean and scatter.
+
+    values are the fit's centered rows, which the survivors' indices select.
 
     Dropping the k rows G of m leaves m' = m - k; with D = G - mean and
     s = sum of D's rows, the survivors' scatter is scatter - D^T D - s s^T / m'
     and their mean is mean - s / m' (Chan, Golub & LeVeque, The American
     Statistician 37(3), 1983), at O(k n^2) where recomputing costs O(m n^2).
     The state describes the survivors only if it sees every pass that drops
-    rows: `remove` re-estimates after each, except one that leaves fewer
+    rows: the loop re-estimates after each, except one that leaves fewer
     than 3 rows, after which it re-estimates no more.
     """
     last_trace = np.trace(scatter)  # at the last two-pass computation
 
-    def reestimate(Y, dropped, theta):
+    def reestimate(alive, dropped, theta):
         nonlocal mean, scatter, last_trace
-        m = Y.shape[0]
+        m = alive.size
         dev = dropped - mean
         s = dev.sum(axis=0)
         scatter = scatter - dev.T @ dev - np.outer(s, s) / m
         mean = mean - s / m
         if np.trace(scatter) < _RECOMPUTE_BELOW * last_trace:
-            mean, scatter = _centered_scatter(Y)
+            mean, scatter = _centered_scatter(values[alive])
             last_trace = np.trace(scatter)
-        return _fix_sign(np.linalg.eigh(scatter / (m - 1))[1][:, -1]), 1, True
+        return scatter
 
     return reestimate
+
+
+def _pc1(mats) -> np.ndarray:
+    """Top eigenvector of each of B symmetric PSD n x n matrices, as (B, n) unit rows.
+
+    Squares each trace-normalized M, M <- M^2 / trace(M^2), until
+    ||M||_F^2 = sum mu_i^2 >= _CERTIFIED. The eigenvalues mu_i >= 0 sum to 1,
+    so that sum is at most mu_1: M is within 1 - _CERTIFIED of mu_1 v v^T,
+    and its column of largest diagonal within about sqrt(n) (1 - _CERTIFIED)
+    of +-v. A matrix not certified after _SQUARINGS squarings (lambda1 close
+    to lambda2, a zero trace) gets the last eigenvector of `np.linalg.eigh`.
+    Each step acts on each matrix alone, so entry i ignores the others.
+    """
+    m = np.stack(mats)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero trace falls back
+        m /= np.trace(m, axis1=1, axis2=2)[:, None, None]
+        sq = np.empty_like(m)
+        active = np.ones(len(m), dtype=bool)  # not yet certified; a certified M stays as it is
+        for _ in range(_SQUARINGS):
+            np.matmul(m, m, out=sq)
+            norm2 = np.trace(sq, axis1=1, axis2=2)  # ||M||_F^2 of the symmetric M
+            active &= ~(norm2 >= _CERTIFIED)
+            if not active.any():
+                break
+            np.multiply(sq, (1.0 / norm2)[:, None, None], out=m, where=active[:, None, None])
+        # M is symmetric, so its row of largest diagonal is that column
+        rows = m[np.arange(len(m)), np.argmax(np.diagonal(m, axis1=1, axis2=2), axis=1)]
+        out = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+    if active.any():
+        uncertified = np.stack([mats[i] for i in np.flatnonzero(active)])
+        out[active] = np.linalg.eigh(uncertified)[1][..., -1]
+    return out
 
 
 def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
@@ -297,23 +353,28 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
         mean, scatter = (_readonly(a) for a in _centered_scatter(centered.values))
 
         def reestimator():
-            return _pc1_reestimate(mean, scatter)
+            return _pc1_reestimate(centered.values, mean, scatter)
 
     return FittedDetector(config.method, centered, r_sel, candidates, reestimator, iterations,
                           tuple(warnings))
 
 
-def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
-    """Run the removal loop at threshold beta; one fit serves any number of betas."""
-    if not (0 < beta < math.inf):
-        raise ValueError("beta must be positive and finite")
+def _run(fitted: FittedDetector, beta: float):
+    """The removal loop at one beta, as a generator that `remove_many` drives.
+
+    After each pass that leaves a pca direction at least 3 rows, it yields the
+    survivors' scatter from the re-estimator and is sent that scatter's PC1.
+    It returns the report, or raises DetectionError. It keeps the survivors'
+    indices, and gathers their rows again after a pause rather than hold them.
+    """
     warnings = list(fitted.warnings)
     # max-CGF directions make one pass, whatever re-estimator the fit carries
     reestimate = None if fitted.method is DetectionMethod.MAX_CGF else fitted.reestimator()
 
-    scores = np.full(fitted.centered.n_obs, np.nan)
-    alive = np.arange(scores.size)
     Y = fitted.centered.values
+    scores = np.full(Y.shape[0], np.nan)
+    alive = np.arange(scores.size)
+    rows = Y  # Y[alive]
     traces: list[DirectionTrace] = []
 
     for theta0, cgf_value in fitted.candidates:
@@ -326,7 +387,7 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
         traces.append(trace)
         theta = theta0
         while True:  # one pass; pass 0 is the one before any row is removed
-            z = Y @ theta
+            z = rows @ theta
             try:
                 kur = kurtosis(z)
             except ValueError:  # zero variance, or a non-finite direction
@@ -359,16 +420,19 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
                     trace.note = "no score above beta"
                 break
             trace.removed += int(out.sum())
-            dropped, Y, alive = Y[out], Y[~out], alive[~out]
+            alive = alive[~out]
             if alive.size < 3:
                 trace.note = "too few rows to keep scoring"
                 break
-            if reestimate is None:
+            if reestimate is None:  # a max-CGF direction makes one pass
+                rows = Y[alive]
                 break
-
-            theta, used, _ = reestimate(Y, dropped, theta)
-            trace.refine_iterations += used
+            scatter = reestimate(alive, rows[out], theta)
+            del z, q, out, rows  # a paused loop holds none of its pass's arrays
+            theta = _fix_sign((yield scatter))
+            trace.refine_iterations += 1
             trace.final_direction = theta
+            rows = Y[alive]
 
     return DetectionReport(
         outlier_flags=scores > beta,
@@ -380,6 +444,55 @@ def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
         method=fitted.method,
         warnings=warnings,
     )
+
+
+def remove_many(fitted: FittedDetector,
+                betas) -> list[tuple[DetectionReport | DetectionError, float]]:
+    """Run the removal loops of several betas on one fit in lockstep.
+
+    Each round resumes every unfinished loop until it next needs a PCA
+    re-estimate, then computes all the PC1s they wait for in one stacked
+    solve. Returns, per beta in order, its report or the DetectionError its
+    loop raised, and its seconds: its own loop steps plus an equal share of
+    each solve it joined.
+    """
+    betas = list(betas)
+    if not all(0 < beta < math.inf for beta in betas):
+        raise ValueError("beta must be positive and finite")
+    runs = [_run(fitted, beta) for beta in betas]
+    results: list = [None] * len(runs)
+    seconds = [0.0] * len(runs)
+    sent: list = [None] * len(runs)
+    waiting = list(range(len(runs)))
+    while waiting:
+        paused, asked = [], []
+        for i in waiting:
+            start = time.perf_counter()
+            try:
+                asked.append(runs[i].send(sent[i]))
+                paused.append(i)
+            except StopIteration as done:
+                results[i] = done.value
+            except DetectionError as err:  # kept without its frames, which hold the loop's arrays
+                results[i] = err.with_traceback(None)
+            seconds[i] += time.perf_counter() - start
+        if paused:
+            start = time.perf_counter()
+            solved = _pc1(asked)
+            share = (time.perf_counter() - start) / len(paused)
+            for i, direction in zip(paused, solved):
+                sent[i] = direction
+                seconds[i] += share
+        waiting = paused
+    return list(zip(results, seconds))
+
+
+def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
+    """Run the removal loop at threshold beta: `remove_many` with that one beta."""
+    [(result, _)] = remove_many(fitted, [beta])
+    if isinstance(result, DetectionError):
+        raise result
+    return result
 
 
 def detect(data: DataMatrix, config: DetectorConfig) -> DetectionReport:

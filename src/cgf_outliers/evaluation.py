@@ -1,6 +1,6 @@
 """ROC construction over a threshold grid: AUC, Youden's J, BCV, beta*.
 
-The detector is fitted once per dataset and its removal loop run once per
+The detector is fitted once per dataset and its removal loop run at every
 beta, so curve differences reflect only the threshold. Empirical curves need
 not be monotone (the iterative re-estimation can move mass around); points
 are sorted by FPR and integrated by the trapezoid rule between the (0,0) and
@@ -9,12 +9,11 @@ are sorted by FPR and integrated by the trapezoid rule between the (0,0) and
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import DetectionError, DetectionMethod, DetectorConfig, fit, remove
+from .detector import DetectionError, DetectionMethod, DetectorConfig, fit, remove_many
 from .detector import detect  # noqa: F401  (unused; perfbench/tracer.py wraps evaluation.detect)
 from .distributions import LabeledDataset
 
@@ -46,9 +45,10 @@ class RocCurve:
     bcv is the largest Youden's J over the curve, where the implicit (0,0)
     and (1,1) anchors contribute J = 0; beta_star is the smallest beta
     attaining it (NaN when only an anchor does). failures lists (beta,
-    message) for grid points whose removal loop errored; timings lists
-    (beta, seconds) wall clock of each completed per-beta `remove`, which
-    excludes the fit the betas share.
+    message) for grid points whose removal loop errored; timings lists one
+    (beta, seconds) pair per completed beta: the wall clock of its own
+    removal-loop steps plus an equal share of each batched PC1 solve it
+    joined. It excludes the fit the betas share.
     """
 
     points: tuple[RocPoint, ...]
@@ -135,11 +135,12 @@ def roc_sweep(
     beta_grid,
     base_config: DetectorConfig,
 ) -> RocCurve:
-    """Fit once, run the removal loop once per beta, and assemble the ROC curve.
+    """Fit once, run every beta's removal loop in lockstep, and assemble the ROC curve.
 
-    Every beta reads the same fit, so each point equals a direct `detect` at
-    that beta. A beta whose removal loop raises a detection error is dropped
-    from the curve and recorded only in RocCurve.failures; nothing is warned.
+    Every beta reads the same fit, and `remove_many` gives each beta what
+    `remove` gives it alone, so each point equals a direct `detect` at that
+    beta. A beta whose removal loop raises a detection error is dropped from
+    the curve and recorded only in RocCurve.failures; nothing is warned.
     """
     grid = [float(b) for b in np.asarray(beta_grid, dtype=float).ravel()]
     if not grid:
@@ -152,16 +153,12 @@ def roc_sweep(
     timings: list[tuple[float, float]] = []
 
     fitted = fit(dataset.data, replace(base_config, method=method))
-    for beta in grid:
-        start = time.perf_counter()
-        try:
-            report = remove(fitted, beta)
-        except DetectionError as err:
-            failures.append((beta, str(err)))
+    for beta, (result, seconds) in zip(grid, remove_many(fitted, grid)):
+        if isinstance(result, DetectionError):
+            failures.append((beta, str(result)))
             continue
-        elapsed = time.perf_counter() - start
-        tpr, fpr = confusion_rates(report.outlier_flags, dataset.truth)
+        tpr, fpr = confusion_rates(result.outlier_flags, dataset.truth)
         entries.append((beta, fpr, tpr))
-        timings.append((beta, elapsed))
+        timings.append((beta, seconds))
 
     return assemble_curve(entries, tuple(failures), tuple(timings))

@@ -4,6 +4,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgf_outliers import (
     DataMatrix,
@@ -16,16 +18,18 @@ from cgf_outliers import (
     SimulationSpec,
     covariance_pca,
     center,
+    default_beta_grid,
     default_covariance,
     detect,
     fit,
     inject_outliers,
     q_scores,
     remove,
+    remove_many,
     sample_normal,
     select_radius,
 )
-from cgf_outliers.detector import _fix_sign
+from cgf_outliers.detector import _fix_sign, _pc1
 
 
 def test_q_scores_hand_values():
@@ -237,8 +241,9 @@ def test_pca_baseline_detects_planted_block():
 def test_pca_reestimate_tracks_covariance_pca_pc1_past_gross_outliers():
     # the re-estimate downdates the survivors' scatter by each pass's dropped
     # rows and recomputes it once the downdate could cancel; along real
-    # removal sequences it must stay within round-off of covariance_pca's PC1
-    # of the survivors, also when the dropped rows dominated the scatter
+    # removal sequences the direction `remove` solves from it must stay within
+    # round-off of covariance_pca's PC1 of the survivors, also when the
+    # dropped rows dominated the scatter
     def pc1(Y):
         return _fix_sign(covariance_pca(DataMatrix(Y)).pc1)
 
@@ -253,26 +258,37 @@ def test_pca_reestimate_tracks_covariance_pca_pc1_past_gross_outliers():
             draws.append(gross)
         for k, x in enumerate(draws):
             fitted = fit(DataMatrix(x), DetectorConfig(beta=3.0, method="pca"))
+            values = fitted.centered.values
+            calls = []  # (survivors, direction) of each re-estimate call
 
-            def checking():
+            def recording():
                 reestimate = fitted.reestimator()
 
-                def checked_reestimate(Y, dropped, theta):
-                    nonlocal checked
-                    direction, used, converged = reestimate(Y, dropped, theta)
-                    assert np.abs(direction - pc1(Y)).max() < 1e-6, (n, k)
-                    assert (used, converged) == (1, True)
-                    checked += 1
-                    return direction, used, converged
+                def recorded(alive, dropped, theta):
+                    calls.append((alive, theta))
+                    return reestimate(alive, dropped, theta)
 
-                return checked_reestimate
+                return recorded
 
-            reference = replace(fitted, reestimator=lambda: lambda Y, dropped, theta: (
-                pc1(Y), 1, True))
+            def exact(alive, dropped, theta):
+                # a scatter whose PC1 is covariance_pca's PC1 of the survivors
+                direction = pc1(values[alive])
+                return np.outer(direction, direction)
+
+            reference = replace(fitted, reestimator=lambda: exact)
             for beta in (1.0, 2.0, 3.0, 4.0):
-                got = remove(replace(fitted, reestimator=checking), beta)
+                calls.clear()
+                got = remove(replace(fitted, reestimator=recording), beta)
                 want = remove(reference, beta)
                 case = (n, k, beta)
+                # each re-estimate's direction is the next call's theta, the last one's
+                # is the final direction
+                trace = got.directions_used[0]
+                directions = [theta for _, theta in calls[1:]] + [trace.final_direction]
+                assert trace.refine_iterations == len(calls), case
+                for (alive, _), direction in zip(calls, directions):
+                    assert np.abs(direction - pc1(values[alive])).max() < 1e-6, case
+                    checked += 1
                 assert np.array_equal(got.outlier_flags, want.outlier_flags), case
                 assert np.array_equal(np.isnan(got.q_scores), np.isnan(want.q_scores)), case
                 assert np.nanmax(np.abs(got.q_scores - want.q_scores), initial=0.0) < 1e-6, case
@@ -347,7 +363,7 @@ def test_ascent_violations_are_reported(monkeypatch):
 
 
 def _counting_reestimates(fitted):
-    """The fit with its re-estimator wrapped; calls[k] lists the rows each call saw.
+    """The fit with its re-estimator wrapped; calls[k] lists the surviving rows each call saw.
 
     A direction's first re-estimate is handed the candidate direction itself,
     so each call that receives a candidate array opens a new list.
@@ -358,11 +374,11 @@ def _counting_reestimates(fitted):
     def counting():
         reestimate = fitted.reestimator()
 
-        def counted(Y, dropped, theta):
+        def counted(alive, dropped, theta):
             if any(theta is c for c in candidates):
                 calls.append([])
-            calls[-1].append(Y.shape[0])
-            return reestimate(Y, dropped, theta)
+            calls[-1].append(alive.size)
+            return reestimate(alive, dropped, theta)
 
         return counted
 
@@ -433,11 +449,12 @@ def test_every_exit_of_remove_is_pinned():
     assert run(3.0, candidates=((zero_axis, None),)) == (
         [("constant projection", 0, 0, 0)], ["direction 1 ended: constant projection"])
     # the first re-estimate lands on the zero column: the same exit, after rows were removed
-    assert run(3.0, reestimator=lambda: lambda Y, dropped, theta: (zero_axis, 7, True)) == (
-        [("constant projection", 1, 4, 7)], ["direction 1 ended: constant projection"])
+    on_zero_axis = np.outer(zero_axis, zero_axis)
+    assert run(3.0, reestimator=lambda: lambda alive, dropped, theta: on_zero_axis) == (
+        [("constant projection", 1, 4, 1)], ["direction 1 ended: constant projection"])
     # a re-estimator that keeps the direction peels down to one row; the
     # direction ends there, before a re-estimate on it
-    assert run(0.5, reestimator=lambda: lambda Y, dropped, theta: (theta, 1, True)) == (
+    assert run(0.5, reestimator=lambda: lambda alive, dropped, theta: np.outer(theta, theta)) == (
         [("too few rows to keep scoring", 3, 39, 2)], [])
     # the same with PC1 re-estimates; the second copy of the candidate is never reached
     twice = fitted.candidates * 2
@@ -524,3 +541,78 @@ def test_remove_on_one_fit_matches_detect_at_each_beta():
         for beta in (0.0, float("inf")):
             with pytest.raises(ValueError, match="beta must be positive and finite"):
                 remove(fitted, beta)
+
+
+def test_lockstep_betas_match_one_beta_runs():
+    # remove_many runs every beta's loop in lockstep and solves the PC1s they
+    # wait for in one stack; each beta must get what remove gives it alone, bit
+    # for bit, or fail with the same message. Student-t draws at T=500 make
+    # several PCA passes; the price fixture's returns are 200 calm days, then
+    # 40 at 10x variance
+    sigma = default_covariance(30, 20.0, seed=0)
+    rng = np.random.default_rng(2)
+    draws = [inject_outliers(SimulationSpec(family="student_t", n=30, T=500, seed=seed,
+                                            sigma_mat=sigma, nu=5.0)).data for seed in (0, 1)]
+    draws.append(DataMatrix(np.concatenate([rng.normal(0.0, 0.01, (200, 8)),
+                                            rng.normal(0.0, 0.01 * np.sqrt(10.0), (40, 8))])))
+    grid = [1e-9, *default_beta_grid()]
+    failed, most_passes = set(), 0
+    for k, data in enumerate(draws):
+        for method in ("pca", "maxcgf"):
+            fitted = fit(data, DetectorConfig(beta=3.0, method=method,
+                                              multistart=MultistartConfig(n_starts=200, seed=k)))
+            results = remove_many(fitted, grid)
+            assert len(results) == len(grid)
+            for beta, (result, seconds) in zip(grid, results):
+                assert seconds >= 0.0
+                try:
+                    alone = remove(fitted, beta)
+                except DetectionError as err:
+                    assert isinstance(result, DetectionError), (k, method, beta)
+                    assert str(result) == str(err)
+                    failed.add((k, method, beta))
+                    continue
+                _assert_same_report(result, alone)
+                most_passes = max([most_passes] + [len(t.kurtosis_trace)
+                                                   for t in alone.directions_used])
+    assert {beta for _, _, beta in failed} == {1e-9}
+    assert most_passes >= 5
+
+
+def _psd(kind: str, n: int, rng) -> np.ndarray:
+    # a random PSD matrix: full rank, zero, with lambda1 == lambda2, or with rows
+    # (and columns) scaled by 1e8 and 1e-8
+    if kind == "zero":
+        return np.zeros((n, n))
+    if kind == "repeated":
+        q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        eig = np.sort(rng.random(n))[::-1]
+        eig[: min(2, n)] = 2.0
+        return (q * eig) @ q.T
+    a = rng.normal(size=(n, n + 2))
+    if kind == "scaled":
+        a[rng.integers(n)] *= 1e8
+        a[rng.integers(n)] *= 1e-8
+    return a @ a.T
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.sampled_from([1, 2, 5, 30]),
+       kinds=st.lists(st.sampled_from(["full", "zero", "repeated", "scaled"]),
+                      min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_pc1_is_certified_and_batch_invariant(n, kinds, seed):
+    rng = np.random.default_rng(seed)
+    stack = np.stack([_psd(kind, n, rng) for kind in kinds])
+    got = _pc1(stack)
+    assert got.shape == (len(kinds), n)
+    for i, kind in enumerate(kinds):
+        # entry i must not depend on the rest of the stack
+        assert np.array_equal(got[i], _pc1(stack[i:i + 1])[0]), kind
+        eigvals, eigvecs = np.linalg.eigh(stack[i])
+        assert abs(np.linalg.norm(got[i]) - 1.0) < 1e-12, kind
+        if kind in ("zero", "repeated") and n > 1:  # never certified: eigh's own vector
+            assert np.array_equal(got[i], eigvecs[:, -1]), kind
+        elif n == 1 or eigvals[-1] - eigvals[-2] >= 1e-6 * eigvals[-1]:
+            pc1 = eigvecs[:, -1]
+            assert min(np.abs(got[i] - pc1).max(), np.abs(got[i] + pc1).max()) < 1e-10, kind
