@@ -41,17 +41,8 @@ Psi never lowers G: G is convex, so for unit theta (Cauchy-Schwarz)
 G(Psi) >= G(theta) + grad G . (Psi - theta)
         = G(theta) + ||grad G|| - grad G . theta >= G(theta).
 
-The refine re-estimates one maximum on changed data. The detector no longer
-calls it, and until it is deleted it steps with the shifted map
-Phi(theta) = normalize(theta + weighted_row_mean(theta)) = grad F / ||grad F||,
-F = G + (r/2) ||theta||^2, which never lowers G by the same argument (F - G
-is constant on the sphere) but contracts more slowly. It is a Riemannian
-BFGS ascent on the sphere with Armijo backtracking, each step capped at a few
-lengths of the Phi step, or at twice a previous step along which G was
-concave. It runs on a float32 copy of the data, whose kernel calls cost about
-half as much, until the Phi step is at most 1e-3. It then certifies the
-maximum in float64 with Riemannian Newton steps, down to a step of 1e-13,
-within 10,000 kernel calls in all, and returns Phi(theta).
+The refine, which the detector no longer calls, is the same ascent from one
+given start.
 
 The projection radius is chosen from the closed-form relative variance of the
 CGF estimator, which depends on r only through a = r**2 * lambda1: the error
@@ -84,16 +75,11 @@ __all__ = [
 ]
 
 _ASCENT_SLACK = 1e-12  # relative G decrease counted as a violation
-_TOLERANCE = 1e-7  # stop once an ascent's map (Psi, or the refine's Phi) moves theta at most this
-_SWITCH = 1e-3  # the refine leaves its float32 copy once ||Phi(theta) - theta|| is at most this
-_CERTIFIED = 1e-13  # the refine returns once a float64 ||Phi(theta) - theta|| is at most this
-_CHORD = 0.1  # a Newton step that shrinks the Phi step at least this much keeps its Hessian
-_MAX_ITERS = 10_000  # updates per multistart start, kernel calls per refine
+_TOLERANCE = 1e-7  # stop once Psi moves theta at most this
+_MAX_ITERS = 10_000  # updates per ascent start
 _DEDUP_COS = 0.995  # |cosine| above which a lower-valued maximum is a duplicate
 _BLOCK = 64  # starts per kernel call in the multistart: a 64 x T buffer
 _MERGE_COS = 1.0 - 1e-4  # signed cosine at which a multistart start has joined another's ascent
-_STEP_CAP = 5.0  # refine step bound in Phi steps; larger bounds reach other maxima more often
-_ARMIJO = 1e-4  # sufficient-increase constant of the refine's backtracking
 
 
 class ConvergenceError(RuntimeError):
@@ -174,7 +160,15 @@ class MaximizerResult:
 
 
 def _rows(data) -> np.ndarray:
-    return data.values if isinstance(data, DataMatrix) else np.asarray(data, dtype=float)
+    # a DataMatrix was checked when it was made; an array is checked here, not copied
+    if isinstance(data, DataMatrix):
+        return data.values
+    X = np.asarray(data, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"data must be 2-D, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("data entries must be finite")
+    return X
 
 
 def _values_theta(data, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -418,8 +412,9 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
     layout; the result does not depend on the layout, nor the starts on the
     row order.
 
-    Raises ValueError when every row is zero, and ConvergenceError (with
-    partial results for every start) only when no start converges at all.
+    Raises ValueError when the data are not 2-D or not finite, or every row
+    is zero, and ConvergenceError (with partial results for every start)
+    only when no start converges at all.
     """
     X = _rows(data)
     if not (r > 0):
@@ -445,153 +440,16 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
     return MaximizerResult(directions=thetas[kept], cgf_values=values[kept], **counts)
 
 
-def refine_direction(values: np.ndarray, r: float, theta) -> tuple[np.ndarray, int, bool]:
-    """Single warm-started ascent run from theta; the detector no longer calls it.
+def refine_direction(values, r: float, theta) -> tuple[np.ndarray, int, bool]:
+    """The ascent of maximize_cgf from the one start theta; the detector no longer calls it.
 
-    Every trial point costs one kernel call, which gives G, the weighted row
-    mean mu, the Riemannian gradient r(mu - (theta . mu) theta) and Phi
-    (module docstring). The run has two phases.
-
-    Explore, on a float32 copy of the data: Riemannian BFGS ascent of G on
-    the unit sphere (Absil, Mahony & Sepulchre, Optimization Algorithms on
-    Matrix Manifolds, 2008, ch. 4 and 8; Huang, Gallivan & Absil, SIAM J.
-    Optim. 25(3), 2015). The step d = H grad, projected onto the tangent
-    space, starts from H = I/r, the fixed step's scale. Its length is capped
-    at _STEP_CAP * ||Phi(theta) - theta||, or at twice the previous step if G
-    was concave along that one: the cap keeps most runs at the maximum the
-    plain map reaches, and the doubling lets a run cross a flat maximum,
-    where the Phi step is tiny, in few steps. The step is halved along the
-    retraction normalize(theta + t d) until G rises by the Armijo margin.
-    When d is no ascent direction, H restarts at I/r; when halving drives
-    t ||d|| below _TOLERANCE, H restarts and the plain Phi step is taken. H
-    takes the rank-2 BFGS update from the step and gradient change projected
-    onto the new tangent space, skipped without positive curvature. The
-    phase ends once ||Phi(theta) - theta|| <= _SWITCH (1e-3).
-
-    Certify, on the float64 data from the same point: Riemannian Newton
-    steps (Absil et al., ch. 6). With P = I - theta theta^T and Sigma_w the
-    weighted covariance of the rows, the tangent Newton step d solves
-    (r (theta . mu) P - r^2 P Sigma_w P) d = grad. Sigma_w is a syrk of the
-    float64 data scaled by sqrt(w), from the kernel's weights w: no kernel
-    call, but as costly as about five at n = 30, so a Hessian serves the
-    next step too while its step shrinks the Phi step at least tenfold
-    (_CHORD). The step is taken when the float64 Phi step at
-    normalize(theta + d) is shorter. When the tangent Hessian is not
-    negative definite (Cholesky fails), or the Newton step is not shorter,
-    the BFGS step above is taken on the float64 data instead; after a
-    failed Cholesky no Hessian is formed until the Phi step has halved. The
-    run returns Phi(theta) at the first float64 ||Phi(theta) - theta|| <=
-    _CERTIFIED (1e-13). Once a float64 step of at most _TOLERANCE (1e-7) has
-    been reached (converged), it also returns at the first Newton step that
-    is not shorter: the float64 floor. The Phi step understates the
-    distance to a flat maximum, where Phi contracts slowly: at a step of
-    1e-11 a refine was still 1.8e-10 from its maximum.
-
-    Returns (direction, kernel calls used, converged); calls in either
-    precision and backtracking trials count. A run that reaches _MAX_ITERS
-    (10,000) calls keeps the Phi step of its last accepted point, and is
-    converged if it reached _TOLERANCE in float64 on the way: the caller is
-    tracking a local maximum across small data changes, where that is the
-    best available estimate. ``values`` are T x n rows, an array of any
-    memory layout; a view over an n x T array is not copied.
+    It follows Psi with the same stop rule, _TOLERANCE (1e-7), and cap,
+    _MAX_ITERS (10,000) updates, and returns (direction, updates, converged):
+    the point the stop rule measured if converged, else the last update.
+    ``values`` are T x n rows, a DataMatrix or an array of any memory layout.
     """
+    X, th = _values_theta(values, theta)
     if not (r > 0):
         raise ValueError("r must be positive")
-    Xt = np.ascontiguousarray(np.asarray(values, dtype=float).T)
-    Xt32 = Xt.astype(np.float32)
-    scaled = np.empty_like(Xt)
-    data, buf = Xt32, np.empty((1, Xt.shape[1]), np.float32)
-
-    def evaluate(th: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        g, wsum = _exp_shifted(data, r, th[None, :].astype(data.dtype), buf)
-        mu = (data @ buf[0]).astype(float) / wsum[0]
-        v = th + mu  # Phi(th) = v / ||v||, or th where v is exactly zero
-        norm = math.sqrt(v @ v)
-        return float(g[0]), r * (mu - (th @ mu) * th), v / norm if norm > 0.0 else th, mu
-
-    def hessian(th: np.ndarray, mu: np.ndarray) -> np.ndarray | None:
-        # -Hess on the tangent space plus th th^T, from the float64 weights in buf;
-        # None unless it is positive definite, that is, unless G is concave at th
-        w = buf[0]
-        np.multiply(Xt, np.sqrt(w), out=scaled)
-        cov = (scaled @ scaled.T) / w.sum() - np.outer(mu, mu)
-        P = np.eye(th.shape[0]) - np.outer(th, th)
-        M = r * (th @ mu) * P - r * r * (P @ cov @ P) + np.outer(th, th)
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
-            return None
-        return M
-
-    theta = unit_vector(theta)
-    g, grad, phi, mu = evaluate(theta)
-    used = 1
-    H = fresh = np.eye(theta.shape[0]) / r
-    radius, converged = 0.0, False
-    M, hessian_below = None, math.inf
-    while True:
-        step = float(np.linalg.norm(phi - theta))
-        certify = data is Xt
-        converged = converged or (certify and step <= _TOLERANCE)
-        if (certify and step <= _CERTIFIED) or used >= _MAX_ITERS:
-            return phi, used, converged
-        if not (certify or step > _SWITCH):  # a NaN step (float32 overflow) switches too
-            data, buf = Xt, np.empty((1, Xt.shape[1]))
-            g, grad, phi, mu = evaluate(theta)
-            used += 1
-            continue
-
-        if certify and M is None and step < hessian_below:
-            M = hessian(theta, mu)
-            if M is None:  # not concave here: no Hessian until the step has halved
-                hessian_below = 0.5 * step
-        d = None if M is None else np.linalg.solve(M, grad)
-        if d is not None:
-            t, d_norm = 1.0, float(np.linalg.norm(d))
-            trial = theta + d
-            trial /= np.linalg.norm(trial)
-            g_new, grad_new, phi_new, mu_new = evaluate(trial)
-            used += 1
-            new_step = float(np.linalg.norm(phi_new - trial))
-            if not new_step <= _CHORD * step:  # the next step re-forms the Hessian
-                M = None
-            if not new_step < step:
-                if converged or used >= _MAX_ITERS:  # the float64 floor, or out of calls
-                    return phi, used, converged
-                d = None
-        if d is None:
-            d = H @ grad
-            d -= (theta @ d) * theta
-            slope = float(grad @ d)
-            if not slope > 0.0:
-                H = fresh
-                d = grad / r
-                slope = float(grad @ d)
-            d_norm = float(np.linalg.norm(d))
-            t = min(1.0, max(_STEP_CAP * step, radius) / d_norm) if d_norm > 0.0 else 0.0
-            while t * d_norm >= _TOLERANCE:
-                trial = theta + t * d
-                trial /= np.linalg.norm(trial)
-                g_new, grad_new, phi_new, mu_new = evaluate(trial)
-                used += 1
-                if g_new >= g + _ARMIJO * t * slope:
-                    break
-                if used >= _MAX_ITERS:
-                    return phi, used, converged
-                t *= 0.5
-            else:  # no step above _TOLERANCE ascends: the plain map, curvature dropped
-                theta, H, radius = phi, fresh, 0.0
-                g, grad, phi, mu = evaluate(theta)
-                used += 1
-                continue
-
-        s = (trial @ theta) * trial - theta  # trial - theta, projected at trial
-        y = grad - (trial @ grad) * trial - grad_new  # gradient change of -G
-        sy = float(s @ y)
-        radius = 0.0
-        if sy > 0.0:  # G is concave along the step: the next one may be twice as long
-            radius = 2.0 * t * d_norm
-            Hy = H @ y
-            half = np.outer(s, (0.5 * (1.0 + (y @ Hy) / sy) * s - Hy) / sy)
-            H = H + half + half.T  # the inverse BFGS update, symmetric rank 2
-        theta, g, grad, phi, mu = trial, g_new, grad_new, phi_new, mu_new
+    thetas, _, converged, _, updates, _ = _ascend(X, r, unit_vector(th)[None, :])
+    return thetas[0], updates, bool(converged[0])

@@ -257,9 +257,8 @@ def test_results_do_not_depend_on_the_memory_layout():
         assert np.array_equal(got.cgf_values, ref.cgf_values)
         assert (got.total_iterations, got.starts_converged, got.starts_merged) == (
             ref.total_iterations, ref.starts_converged, ref.starts_merged)
-        if isinstance(data, DataMatrix):
-            continue  # refine_direction takes arrays only
-        theta, used, converged = refine_direction(data[:250], 0.9, start)
+        rows = DataMatrix(data.values[:250]) if isinstance(data, DataMatrix) else data[:250]
+        theta, used, converged = refine_direction(rows, 0.9, start)
         assert np.array_equal(theta, ref_refine[0])
         assert (used, converged) == ref_refine[1:]
 
@@ -335,9 +334,8 @@ def test_refine_direction_warm_start(monkeypatch):
 @settings(max_examples=200, deadline=None)
 @given(heavy=st.booleans(), T=st.integers(2, 200), n=st.integers(1, 8),
        r=st.floats(0.05, 5.0), seed=st.integers(0, 2**32 - 1))
-def test_phi_never_lowers_the_cgf(heavy, T, n, r, seed):
-    # the refine's Phi = grad F / ||grad F|| for the convex F = G + (r/2)||theta||^2, and
-    # the multistart's Psi = grad G / ||grad G|| for the convex G (module docstring)
+def test_psi_never_lowers_the_cgf(heavy, T, n, r, seed):
+    # the ascent's Psi = grad G / ||grad G|| for the convex G (module docstring)
     rng = np.random.default_rng(seed)
     if heavy:
         X = rng.standard_t(2.0, size=(T, n))
@@ -347,8 +345,6 @@ def test_phi_never_lowers_the_cgf(heavy, T, n, r, seed):
     theta = _random_directions(n, 1, seed)[0]
     g = cgf_estimate(data, r, theta)
     grad = cgf_gradient(data, r, theta)
-    phi = unit_vector(theta + grad / r)
-    assert cgf_estimate(data, r, phi) >= g - 1e-12 * max(1.0, abs(g))
     psi = unit_vector(grad) if np.any(grad != 0.0) else theta  # a zero sum stays put
     assert cgf_estimate(data, r, psi) >= g - 1e-12 * max(1.0, abs(g))
 
@@ -356,6 +352,13 @@ def test_phi_never_lowers_the_cgf(heavy, T, n, r, seed):
 def test_multistart_config_validation():
     with pytest.raises(ValueError):
         MultistartConfig(n_starts=0)
+
+
+def _with_nan() -> np.ndarray:
+    # a 200 x 2 sample with one missing entry
+    X = np.random.default_rng(8).normal(size=(200, 2))
+    X[17, 1] = math.nan
+    return X
 
 
 @pytest.mark.parametrize("call, message", [
@@ -368,8 +371,16 @@ def test_multistart_config_validation():
     (lambda: maximize_cgf(TWO_POINT, 0.0, MultistartConfig(n_starts=1)), "r must be positive"),
     (lambda: maximize_cgf(np.zeros((5, 3)), 1.0, MultistartConfig()),
      "data has no nonzero row to start from"),
+    (lambda: maximize_cgf(_with_nan(), 1.0, MultistartConfig()), "data entries must be finite"),
+    (lambda: maximize_cgf(np.ones(5), 1.0, MultistartConfig()), "data must be 2-D, got shape (5,)"),
+    (lambda: cgf_estimate(_with_nan(), 1.0, E1), "data entries must be finite"),
+    (lambda: cgf_gradient(np.ones((2, 2, 2)), 1.0, E1), "data must be 2-D, got shape (2, 2, 2)"),
+    (lambda: refine_direction(_with_nan(), 1.0, E1), "data entries must be finite"),
+    (lambda: refine_direction(TWO_POINT, 1.0, [1.0, 0.0, 0.0]),
+     "theta has length 3, data has 2 columns"),
 ], ids=["theta-length", "theta-nan", "gradient-r", "rv-lambda1", "rv-T", "maximize-r",
-        "maximize-zero-data"])
+        "maximize-zero-data", "maximize-nan", "maximize-1-D", "estimate-nan", "gradient-3-D",
+        "refine-nan", "refine-theta-length"])
 def test_input_checks_name_the_problem(call, message):
     with pytest.raises(ValueError) as err:
         call()
@@ -470,14 +481,19 @@ def test_refine_satisfies_first_order_condition_and_ascends():
         assert cgf_estimate(data, r, theta) >= cgf_estimate(data, r, start)
 
 
+def _assert_refine_is_the_ascent(X: np.ndarray, r: float, start: np.ndarray) -> None:
+    # the refine is _ascend from its one start, normalized: the same bytes, updates and stop
+    theta, used, converged = refine_direction(X, r, start)
+    plain, _, plain_converged, _, plain_used, _ = _ascend(X, r, unit_vector(start)[None, :])
+    assert converged and plain_converged[0]
+    assert theta.tobytes() == plain[0].tobytes()
+    assert (used, converged) == (plain_used, plain_converged[0])
+
+
 def test_refine_reaches_the_fixed_step_maximum():
     for seed in range(5):
         data = _skewed_data(seed)
-        start = _random_directions(3, 1, seed=100 + seed)
-        theta, _, converged = refine_direction(data.values, 1.2, start[0])
-        plain, _, plain_converged, _, _, _ = _ascend(data.values, 1.2, start)
-        assert converged and plain_converged[0]
-        assert abs(float(theta @ plain[0])) >= 1 - 1e-9
+        _assert_refine_is_the_ascent(data.values, 1.2, _random_directions(3, 1, seed=100 + seed)[0])
 
         # tracking: warm starts at the maxima of 8 solo starts, after dropping random rows
         maxima = [_ascend(data.values, 1.2, s[None, :])[0][0]
@@ -485,11 +501,8 @@ def test_refine_reaches_the_fixed_step_maximum():
         rng = np.random.default_rng(300 + seed)
         for theta0 in maxima:
             for frac in (0.01, 0.03, 0.1):
-                shrunk = data.values[rng.random(data.n_obs) >= frac]
-                theta, _, converged = refine_direction(shrunk, 1.2, theta0)
-                plain, _, plain_converged, _, _, _ = _ascend(shrunk, 1.2, theta0[None, :])
-                assert converged and plain_converged[0]
-                assert abs(float(theta @ plain[0])) >= 1 - 1e-9
+                _assert_refine_is_the_ascent(data.values[rng.random(data.n_obs) >= frac], 1.2,
+                                             theta0)
 
 
 def test_refine_is_equivariant_under_row_permutation_and_rotation():
@@ -548,74 +561,13 @@ def _assert_first_order(X: np.ndarray, r: float, start, theta, converged: bool) 
 
 
 def test_refine_recovers_where_its_step_is_no_ascent():
-    # at e1 and r = 0.05 the weighted row mean is -1.55 e1: the gradient is
-    # zero, so the BFGS step is no ascent direction, while Phi jumps to the
-    # maximum at -e1. The refine restarts H and takes the plain Phi step
+    # at e1 and r = 0.05 the weighted row mean is -1.55 e1: the tangent gradient
+    # is zero, so a step along it would stay put, while Psi jumps to the maximum
+    # at -e1, a fixed point of Psi
     X = np.array([[-5.0, 0.0], [1.0, 0.0]])
     theta, used, converged = refine_direction(X, 0.05, E1)
     _assert_first_order(X, 0.05, E1, theta, converged)
     assert np.array_equal(theta, -E1)
-
-
-def test_refine_takes_the_bfgs_step_where_g_is_not_concave(monkeypatch):
-    # with the float32 phase empty the first Hessian is formed at the start,
-    # where the tangent Hessian is not negative definite: Cholesky fails and
-    # the refine takes float64 BFGS steps until Newton steps serve
-    monkeypatch.setattr(cgf_module, "_SWITCH", math.inf)
-    failures = []
-    cholesky = np.linalg.cholesky
-
-    def counted(M):
-        try:
-            return cholesky(M)
-        except np.linalg.LinAlgError:
-            failures.append(1)
-            raise
-
-    monkeypatch.setattr(np.linalg, "cholesky", counted)
-    for seed in range(3):
-        data = _skewed_data(seed).values
-        start = _random_directions(3, 1, seed=seed)[0]
-        failures.clear()
-        theta, used, converged = refine_direction(data, 1.2, start)
-        assert failures
-        _assert_first_order(data, 1.2, start, theta, converged)
-
-
-def test_refine_ends_at_the_float64_floor(monkeypatch):
-    # with no step small enough to return on, a converged refine ends at the
-    # first Newton step that does not shrink the float64 Phi step
-    monkeypatch.setattr(cgf_module, "_CERTIFIED", -1.0)
-    for seed in range(3):
-        data = _skewed_data(seed).values
-        start = _random_directions(3, 1, seed=seed)[0]
-        theta, used, converged = refine_direction(data, 1.2, start)
-        assert used < cgf_module._MAX_ITERS
-        _assert_first_order(data, 1.2, start, theta, converged)
-
-
-def _phi_step(X: np.ndarray, r: float, theta: np.ndarray) -> float:
-    # ||Phi(theta) - theta|| in float64
-    v = theta + cgf_gradient(X, r, theta) / r
-    return float(np.linalg.norm(v / np.linalg.norm(v) - theta))
-
-
-def test_refine_certifies_in_float64_at_detect_scale(monkeypatch):
-    # a detect-large draw as the ascent sees it, less its 3% largest rows, as
-    # a removal pass drops heavy rows: from each multistart maximum the refine
-    # climbs in float32, and its end point is a float64 fixed point, where a
-    # refine without the float32 phase ends too
-    data, r = _experiment_data("normal", 9, T=10_000)
-    maxima = maximize_cgf(data, r, MultistartConfig()).directions
-    norms = np.linalg.norm(data.values, axis=1)
-    X = data.values[norms < np.quantile(norms, 0.97)]
-    ends = [refine_direction(X, r, theta0) for theta0 in maxima]
-    monkeypatch.setattr(cgf_module, "_SWITCH", math.inf)
-    for theta0, (theta, _, converged) in zip(maxima, ends):
-        assert converged
-        assert _phi_step(X, r, theta) <= 1e-11
-        in_float64, _, _ = refine_direction(X, r, theta0)
-        assert abs(float(theta @ in_float64)) >= 1 - 1e-9
 
 
 def _solo_maxima(data: DataMatrix, r: float, config: MultistartConfig):

@@ -3,14 +3,19 @@
     python3 tools/cpu_pairs.py TREE_A TREE_B WORKLOAD ROUNDS [SEED]
 
 TREE_A and TREE_B each hold src/cgf_outliers, for example a ``git archive``
-copy of the parent commit and the change. WORKLOAD is one of perfbench's
-gated jobs, built from SEED (default 0) as perfbench builds it:
+copy of the parent commit and the change. WORKLOAD is one of perfbench's two
+gated jobs, built from SEED (default 0) as perfbench builds it, or the
+experiments' max-CGF sweep, which no gated job runs:
 
 - detect-large: `detect` at `DetectorConfig(beta=3.25)` on 4 correlated-normal
   draws, n=30, T=10,000, data seeds 4*SEED to 4*SEED+3;
 - pca-sweep: `roc_sweep` method pca over the default 39-beta grid on 80
   Student-t nu=5 draws, n=30, T=500, 200 starts, data seeds 80*SEED to
-  80*SEED+79.
+  80*SEED+79;
+- maxcgf-sweep: `roc_sweep` method maxcgf over the same grid at 200 starts,
+  n=30, T=500, on the four families of `tools/quality_table.py`'s AUC cell
+  (std-normal, correlated normal, Student-t nu=5, skew-normal with alpha in
+  [-1, 4]), data seeds 5*SEED to 5*SEED+4 each: the experiments' setting.
 
 Both packages are loaded under their own module names, so both sides run on
 the same interpreter, numpy and BLAS thread, interleaved in time. Wall-clock
@@ -67,6 +72,11 @@ def pca_sweep(pkg, seed: int):
     draws = [(s, pkg.inject_outliers(pkg.SimulationSpec(family="student_t", n=30, T=500, seed=s,
                                                         sigma_mat=sigma, nu=5.0)))
              for s in range(80 * seed, 80 * seed + 80)]
+    return _sweep(pkg, draws, "pca")
+
+
+def _sweep(pkg, draws, method: str):
+    # one 39-beta roc_sweep per (data seed, draw); the multistart seed is the data seed
     grid = pkg.default_beta_grid()
 
     def job():
@@ -74,14 +84,24 @@ def pca_sweep(pkg, seed: int):
         for s, ds in draws:
             config = pkg.DetectorConfig(beta=3.0,
                                         multistart=pkg.MultistartConfig(n_starts=200, seed=s))
-            curve = pkg.roc_sweep(ds, "pca", grid, config)
+            curve = pkg.roc_sweep(ds, method, grid, config)
             out.append([(p.beta, p.fpr, p.tpr) for p in curve.points] + list(curve.failures))
         return out
 
     return job
 
 
-WORKLOADS = {"detect-large": detect_large, "pca-sweep": pca_sweep}
+def maxcgf_sweep(pkg, seed: int):
+    sigma = pkg.default_covariance(30, 20.0, seed=0)
+    families = [("std_normal", {}), ("normal", {"sigma_mat": sigma}),
+                ("student_t", {"sigma_mat": sigma, "nu": 5.0}),
+                ("skew_normal", {"sigma_mat": sigma, "alpha_range": (-1.0, 4.0)})]
+    draws = [(s, pkg.inject_outliers(pkg.SimulationSpec(family=family, n=30, T=500, seed=s, **kw)))
+             for family, kw in families for s in range(5 * seed, 5 * seed + 5)]
+    return _sweep(pkg, draws, "maxcgf")
+
+
+WORKLOADS = {"detect-large": detect_large, "pca-sweep": pca_sweep, "maxcgf-sweep": maxcgf_sweep}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
