@@ -46,9 +46,10 @@ class RocCurve:
     and (1,1) anchors contribute J = 0; beta_star is the smallest beta
     attaining it (NaN when only an anchor does). failures lists (beta,
     message) for grid points whose removal loop errored; timings lists one
-    (beta, seconds) pair per completed beta: the wall clock of its own
-    removal-loop steps plus an equal share of each batched PC1 solve it
-    joined. It excludes the fit the betas share.
+    (beta, seconds) pair per completed beta. `remove_many` advances every
+    unfinished beta by one pass per step and splits each step's wall clock
+    equally among the betas it advanced, so a beta's seconds are its share of
+    the steps it took part in. They exclude the fit the betas share.
     """
 
     points: tuple[RocPoint, ...]
@@ -135,7 +136,7 @@ def roc_sweep(
     beta_grid,
     base_config: DetectorConfig,
 ) -> RocCurve:
-    """Fit once, run every beta's removal loop in lockstep, and assemble the ROC curve.
+    """Fit once, run every beta's removal loop as a row of `remove_many`, and assemble the curve.
 
     Every beta reads the same fit, and `remove_many` gives each beta what
     `remove` gives it alone, so each point equals a direct `detect` at that

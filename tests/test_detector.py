@@ -544,11 +544,11 @@ def test_remove_on_one_fit_matches_detect_at_each_beta():
 
 
 def test_lockstep_betas_match_one_beta_runs():
-    # remove_many runs every beta's loop in lockstep and solves the PC1s they
-    # wait for in one stack; each beta must get what remove gives it alone, bit
-    # for bit, or fail with the same message. Student-t draws at T=500 make
-    # several PCA passes; the price fixture's returns are 200 calm days, then
-    # 40 at 10x variance
+    # remove_many runs every beta's loop as a row of one array program, and a
+    # step's PCA re-estimates share one stacked solve; each beta must get what
+    # remove gives it alone, bit for bit, or fail with the same message.
+    # Student-t draws at T=500 make several PCA passes; the price fixture's
+    # returns are 200 calm days, then 40 at 10x variance
     sigma = default_covariance(30, 20.0, seed=0)
     rng = np.random.default_rng(2)
     draws = [inject_outliers(SimulationSpec(family="student_t", n=30, T=500, seed=seed,
@@ -577,6 +577,31 @@ def test_lockstep_betas_match_one_beta_runs():
                                                    for t in alone.directions_used])
     assert {beta for _, _, beta in failed} == {1e-9}
     assert most_passes >= 5
+
+
+def test_the_row_at_the_mad_ties_beta_one_and_stays():
+    # with an odd survivor count the MAD is one of the deviations, so the row
+    # at the MAD scores exactly 1.0 and the strict > keeps it at beta 1.0. The
+    # pca loop scores 101 rows, then 51, and stops when the kurtosis rises, so
+    # its 26 survivors keep the 51-row pass's scores. The max-CGF fit keeps
+    # its first candidate only, which scores all 101 rows once. remove runs
+    # one row; the sweep runs 39, and beta 1.0 is one of them
+    ds = inject_outliers(SimulationSpec(family="std_normal", n=3, T=101, seed=2))
+    pca = fit(ds.data, DetectorConfig(beta=1.0, method="pca"))
+    maxcgf = fit(ds.data, DetectorConfig(beta=1.0,
+                                         multistart=MultistartConfig(n_starts=20, seed=2)))
+    grid = list(default_beta_grid())
+    cases = [(pca, 3, 26), (replace(maxcgf, candidates=maxcgf.candidates[:1]), 1, 51)]
+    for fitted, passes, kept in cases:
+        alone = remove(fitted, 1.0)
+        swept, _ = remove_many(fitted, grid)[grid.index(1.0)]
+        _assert_same_report(alone, swept)
+        [trace] = alone.directions_used
+        assert len(trace.kurtosis_trace) == passes
+        assert np.count_nonzero(~alone.outlier_flags) == kept
+        tie = alone.q_scores == 1.0
+        assert np.count_nonzero(tie) == 1 and not alone.outlier_flags[tie].any()
+        assert np.array_equal(alone.outlier_flags, alone.q_scores > 1.0)
 
 
 def _psd(kind: str, n: int, rng) -> np.ndarray:

@@ -25,7 +25,10 @@ one job per side, alternating which side goes first, and reads
 `time.process_time` around it. The output gives each side's median and
 quartiles, and the median and quartiles of the per-round ratios B / A. It
 also says whether the two sides' outputs (flags, or ROC points and failures)
-were equal in every round.
+were equal in every round. After the timed rounds, each side runs the job
+PEAK_RUNS more times under `tracemalloc`, and the output gives the median
+peak of traced memory per job beside the CPU seconds. Tracing slows every
+allocation, so no timed run is traced.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 
 # one BLAS thread, pinned before numpy is imported, as perfbench pins it
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -101,6 +105,19 @@ def maxcgf_sweep(pkg, seed: int):
     return _sweep(pkg, draws, "maxcgf")
 
 
+PEAK_RUNS = 3
+
+
+def traced_peak_mb(job) -> float:
+    """The peak of memory traced by tracemalloc during one run of JOB, in MB."""
+    tracemalloc.start()
+    try:
+        job()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 WORKLOADS = {"detect-large": detect_large, "pca-sweep": pca_sweep, "maxcgf-sweep": maxcgf_sweep}
 
 
@@ -133,12 +150,14 @@ def main(argv: list[str]) -> int:
             cpu[side].append(time.process_time() - start)
         same = same and outputs[0] == outputs[1]
     ratios = [b / a for a, b in zip(*cpu)]
+    peaks = [statistics.median(traced_peak_mb(job) for _ in range(PEAK_RUNS)) for job in jobs]
 
     print(f"workload {workload}, seed {seed}, {rounds} rounds, process_time seconds per job")
-    for label, values in (("A", cpu[0]), ("B", cpu[1])):
+    for label, values, peak in (("A", cpu[0], peaks[0]), ("B", cpu[1], peaks[1])):
         q1, q2, q3 = quartiles(values)
         print(f"{label}: median {q2:.4f}  quartiles {q1:.4f}-{q3:.4f}  "
-              f"runs {' '.join(f'{v:.4f}' for v in values)}")
+              f"runs {' '.join(f'{v:.4f}' for v in values)}  "
+              f"tracemalloc peak {peak:.3f} MB (median of {PEAK_RUNS})")
     q1, q2, q3 = quartiles(ratios)
     print(f"B/A: median {q2:.4f}  quartiles {q1:.4f}-{q3:.4f}  "
           f"B lower in {sum(x < 1.0 for x in ratios)} of {rounds}")
