@@ -3,7 +3,8 @@
 Detection runs in two steps. `fit` does everything that does not depend on
 the threshold beta: it centers the data once, picks the projection radius
 from the relative-error rule, and finds the candidate directions (multistart
-CGF maxima, or PC1 for the baseline; PC1 comes with its re-estimator).
+CGF maxima, or PC1 for the baseline; PC1 comes with the rows' mean and
+scatter, which its re-estimates downdate).
 `remove` then runs the removal loop at one beta, over the directions in
 CGF-descending order. Each direction makes passes, and every pass takes the
 same steps:
@@ -35,9 +36,9 @@ The CGF ascent runs on the centered data divided by sqrt(lambda1), at radius
 r * sqrt(lambda1): G and the q-scores are unchanged, and the ascent's path no
 longer depends on the scale of the data.
 
-The pca re-estimate is PC1 of the survivors' centered scatter, which each
-removal loop keeps up to date: the fit computes the rows' mean and scatter
-once, by two passes, and each pass downdates both by the k rows it dropped
+The pca re-estimate is PC1 of the survivors' centered scatter. The fit
+computes the rows' mean and scatter once, by two passes; each removal loop
+keeps its own copy, and each pass downdates both by the k rows it dropped
 at O(k n^2), instead of reading all m survivors. Removing rows that dominate
 the scatter would cancel its digits, so once its trace falls below 1e-3 of
 its value at the last two-pass computation, the re-estimate computes mean
@@ -46,15 +47,13 @@ and scatter again by two passes over the survivors.
 `remove_many` runs the loops of several betas as rows of one array program,
 and `remove` is the same driver with one beta. Each step makes one pass of
 every unfinished row. A max-CGF step projects candidate k once for all rows;
-a pca row projects its own direction, and the step's re-estimates share one
-stacked PC1 solve. The solve squares each trace-normalized scatter M until
-||M||_F^2 >= 1 - 1e-13. For a PSD M of trace 1 that is a lower bound on the
-top eigenvalue's share of the trace, so the column of M with the largest
-diagonal is within about sqrt(n) * 1e-13 of PC1. A scatter not certified
-within a fixed number of squarings (lambda1 close to lambda2, or a zero
-trace) gets `eigh`'s PC1. A row's sums run along that row alone, its median
-and MAD are exact order statistics, and the solve acts on each matrix alone,
-so a beta's report is the same bits whichever betas share its steps.
+a pca row projects its own direction. The pca states are arrays with one
+row per beta; a step downdates all its re-estimated rows at once
+(`_downdate`), and their PC1s come from one stacked solve by repeated
+squaring with a certificate (`_pc1`), or from `eigh` where it does not
+certify. A row's sums run along that row alone, its median and MAD are
+exact order statistics, and the downdate and the solve act on each row
+alone, so a beta's report is the same bits whichever betas share its steps.
 """
 
 from __future__ import annotations
@@ -62,7 +61,6 @@ from __future__ import annotations
 import enum
 import math
 import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -198,26 +196,20 @@ class DetectionReport:
 class FittedDetector:
     """The beta-free part of detection; `remove` reads it and never changes it.
 
-    candidates are (direction, CGF value or None) in loop order. reestimator
-    is None for maxcgf, whose directions make one pass each. For pca it is
-    called once per removal loop and returns that loop's re-estimate,
-    reestimate(alive, dropped, theta) -> scatter. It maps the indices of the
-    surviving rows of `centered` (at least 3), the rows the pass just dropped
-    and the current direction to an n x n symmetric PSD matrix, the
-    survivors' centered scatter; the loop's next direction is that matrix's
-    PC1, from the batched solve. It starts from the rows' mean and centered
-    scatter, computed once by two passes, downdates both by each pass's
-    dropped rows, and recomputes them by two passes once the scatter's trace
-    falls below 1e-3 of its last two-pass value. iterations and warnings open
-    every report.
+    candidates are (direction, CGF value or None) in loop order. mean and
+    scatter are None for maxcgf, whose directions make one pass each. For pca
+    they are the mean (n,) and centered scatter (n, n) of the rows of
+    `centered`, computed once by two passes: every removal loop starts from
+    them and keeps its own copy, downdated by each pass's dropped rows.
+    iterations and warnings open every report.
     """
 
     method: DetectionMethod
     centered: DataMatrix
     radius: RadiusSelection
     candidates: tuple[tuple[np.ndarray, float | None], ...]
-    reestimator: Callable[[], Callable[[np.ndarray, np.ndarray, np.ndarray],
-                                      np.ndarray]] | None
+    mean: np.ndarray | None
+    scatter: np.ndarray | None
     iterations: int
     warnings: tuple[str, ...]
 
@@ -234,9 +226,10 @@ def q_scores(z) -> np.ndarray:
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
-    # deterministic representative of the +-v pair: largest-|entry| positive
-    pivot = int(np.argmax(np.abs(v)))
-    return -v if v[pivot] < 0 else v
+    # deterministic representative of each +-v pair, v or its rows: largest-|entry| positive
+    rows = np.atleast_2d(v)
+    pivot = rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)]
+    return np.where(pivot[:, None] < 0, -rows, rows).reshape(v.shape)
 
 
 def _scaled_rows(Y: np.ndarray, scale: float) -> np.ndarray:
@@ -251,73 +244,104 @@ def _centered_scatter(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, dev.T @ dev
 
 
-def _pc1_reestimate(values: np.ndarray, mean: np.ndarray, scatter: np.ndarray):
-    """One removal loop's PCA re-estimate, starting from the fit rows' mean and scatter.
+def _downdate(values: np.ndarray, state, rows: np.ndarray, alive: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """Downdate the pca state of the loops `rows` by the rows their last pass dropped.
 
-    values are the fit's centered rows, which the survivors' indices select.
+    state holds every loop's survivors' mean (B, n), centered scatter
+    (B, n, n) and that scatter's trace at its last two-pass computation (B,),
+    and is updated in place. alive and out are the P loops' survivor and
+    dropped masks over `values`, the fit's centered rows.
 
-    Dropping the k rows G of m leaves m' = m - k; with D = G - mean and
-    s = sum of D's rows, the survivors' scatter is scatter - D^T D - s s^T / m'
-    and their mean is mean - s / m' (Chan, Golub & LeVeque, The American
-    Statistician 37(3), 1983), at O(k n^2) where recomputing costs O(m n^2).
-    The state describes the survivors only if it sees every pass that drops
-    rows: the loop re-estimates after each, except one that leaves fewer
-    than 3 rows, after which it re-estimates no more.
+    Dropping the k rows G of m leaves m' = m - k; with D = G - mean,
+    s = sum of D's rows and u = s / sqrt(m'), the survivors' scatter is
+    scatter - D^T D - u u^T and their mean is mean - s / m' (Chan, Golub &
+    LeVeque, The American Statistician 37(3), 1983), at O(k n^2) where
+    recomputing costs O(m n^2). The dropped rows of all P loops are gathered
+    once, loop by loop, and each D^T D is one product over its loop's slice,
+    the call a one-loop step makes on the same rows; every other operation
+    acts on each loop alone. A state describes its survivors only if it sees
+    every pass that drops rows: the loop re-estimates after each, except one
+    that leaves fewer than 3 rows, after which it re-estimates no more.
+    Returns the P updated scatters, whose PC1s are the loops' next directions.
     """
-    last_trace = np.trace(scatter)  # at the last two-pass computation
+    means, scatters, last = state
+    k = np.count_nonzero(out, axis=1)
+    m = np.count_nonzero(alive, axis=1)
+    mean = means[rows]
+    # out's flat indices, row by row, wrap to the indices of the dropped rows in values
+    dev = values.take(np.flatnonzero(out), axis=0, mode="wrap")
+    ends = np.cumsum(k)
+    starts = ends - k
+    scatter = np.empty((len(rows),) + scatters.shape[1:])
+    for lo, hi, mu, product in zip(starts.tolist(), ends.tolist(), mean, scatter):
+        d = dev[lo:hi]
+        d -= mu
+        np.matmul(d.T, d.copy(), out=product)  # a copy: gemm, which beat syrk at n=30
+    s = np.add.reduceat(dev, starts, axis=0)
+    np.subtract(scatters[rows], scatter, out=scatter)
+    u = s / np.sqrt(m)[:, None]
+    scatter -= u[:, :, None] * u[:, None, :]
+    mean -= s / m[:, None]
+    trace = np.add.reduce(np.diagonal(scatter, axis1=1, axis2=2), axis=1)
+    redo = trace < _RECOMPUTE_BELOW * last[rows]
+    for i in np.flatnonzero(redo):  # the downdate could cancel: two passes over the survivors
+        mean[i], scatter[i] = _centered_scatter(values[alive[i]])
+        last[rows[i]] = np.trace(scatter[i])
+    means[rows], scatters[rows] = mean, scatter
+    return scatter
 
-    def reestimate(alive, dropped, theta):
-        nonlocal mean, scatter, last_trace
-        m = alive.size
-        dev = dropped - mean
-        s = dev.sum(axis=0)
-        scatter = scatter - dev.T @ dev - np.outer(s, s) / m
-        mean = mean - s / m
-        if np.trace(scatter) < _RECOMPUTE_BELOW * last_trace:
-            mean, scatter = _centered_scatter(values[alive])
-            last_trace = np.trace(scatter)
-        return scatter
 
-    return reestimate
-
-
-def _pc1(mats) -> np.ndarray:
+def _pc1(mats: np.ndarray) -> np.ndarray:
     """Top eigenvector of each of B symmetric PSD n x n matrices, as (B, n) unit rows.
 
-    Squares each trace-normalized M, M <- M^2 / trace(M^2), until
-    ||M||_F^2 = sum mu_i^2 >= _CERTIFIED. The eigenvalues mu_i >= 0 sum to 1,
-    so that sum is at most mu_1: M is within 1 - _CERTIFIED of mu_1 v v^T,
-    and its column of largest diagonal within about sqrt(n) (1 - _CERTIFIED)
-    of +-v. A matrix not certified after _SQUARINGS squarings (lambda1 close
-    to lambda2, a zero trace) gets the last eigenvector of `np.linalg.eigh`.
-    Each step acts on each matrix alone, so entry i ignores the others.
+    Squares each matrix A, starting from trace one, until M = A / trace(A)
+    has ||M||_F^2 = trace(A^2) / trace(A)^2 = sum mu_i^2 >= _CERTIFIED. The
+    eigenvalues mu_i >= 0 of M sum to 1, so that sum is at most mu_1: M is
+    within 1 - _CERTIFIED of mu_1 v v^T, and its column of largest diagonal
+    within about sqrt(n) (1 - _CERTIFIED) of +-v. That column is taken at the
+    squaring that certifies A, and the later squarings run on the matrices
+    not yet certified. Every third square is divided by its trace: three
+    squarings from trace one leave a trace of at least 1 / n^7. A matrix not
+    certified after _SQUARINGS squarings (lambda1 close to lambda2, a zero
+    trace) gets the last eigenvector of `np.linalg.eigh`. Each step acts on
+    each matrix alone, so entry i ignores the others.
     """
-    m = np.stack(mats)
+    left = np.arange(len(mats))  # the matrices not yet certified
+    certified = np.zeros_like(mats)  # each matrix at the squaring that certified it
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero trace falls back
-        m /= np.trace(m, axis1=1, axis2=2)[:, None, None]
-        sq = np.empty_like(m)
-        active = np.ones(len(m), dtype=bool)  # not yet certified; a certified M stays as it is
-        for _ in range(_SQUARINGS):
-            np.matmul(m, m, out=sq)
-            norm2 = np.trace(sq, axis1=1, axis2=2)  # ||M||_F^2 of the symmetric M
-            active &= ~(norm2 >= _CERTIFIED)
-            if not active.any():
-                break
-            np.multiply(sq, (1.0 / norm2)[:, None, None], out=m, where=active[:, None, None])
-        # M is symmetric, so its row of largest diagonal is that column
-        rows = m[np.arange(len(m)), np.argmax(np.diagonal(m, axis1=1, axis2=2), axis=1)]
+        a = mats / np.trace(mats, axis1=1, axis2=2)[:, None, None]
+        bound = _CERTIFIED  # times trace(A)^2
+        for step in range(_SQUARINGS):
+            sq = a @ a
+            norm2 = np.add.reduce(np.diagonal(sq, axis1=1, axis2=2), axis=1)  # trace(A^2)
+            done = norm2 >= bound
+            if done.any():
+                certified[left[done]] = a[done]
+                keep = ~done
+                left, sq, norm2 = left[keep], sq[keep], norm2[keep]
+                if not left.size:
+                    break
+            if step % 3 == 2:
+                sq *= (1.0 / norm2)[:, None, None]
+                bound = _CERTIFIED
+            else:
+                bound = _CERTIFIED * norm2 * norm2
+            a = sq
+        # A is symmetric, so its row of largest diagonal is that column
+        diagonal = np.diagonal(certified, axis1=1, axis2=2)
+        rows = certified[np.arange(len(mats)), np.argmax(diagonal, axis=1)]
         out = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-    if active.any():
-        uncertified = np.stack([mats[i] for i in np.flatnonzero(active)])
-        out[active] = np.linalg.eigh(uncertified)[1][..., -1]
+    if left.size:
+        out[left] = np.linalg.eigh(mats[left])[1][..., -1]
     return out
 
 
 def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
     """Center, select the radius, and find the candidates.
 
-    maxcgf: multistart CGF maxima, each scored once, with no re-estimator.
-    pca: PC1, re-estimated as PC1 of the cleaned rows from a downdated scatter.
+    maxcgf: multistart CGF maxima, each scored once.
+    pca: PC1, and the rows' mean and scatter that its re-estimates downdate.
     config.beta is not read.
     """
     T = data.n_obs
@@ -339,7 +363,7 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
             f"using the variance-minimizing radius (eps {r_sel.eps_achieved:.4g})"
         )
     iterations = 0
-    reestimator = None
+    mean = scatter = None
     if config.method is DetectionMethod.MAX_CGF:
         scale = math.sqrt(lambda1)  # the ascent sees unit-lambda1 data at radius r * scale
         result = maximize_cgf(_scaled_rows(centered.values, scale), r * scale, config.multistart)
@@ -355,10 +379,7 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
         candidates = ((_readonly(_fix_sign(cov.pc1)), None),)
         mean, scatter = (_readonly(a) for a in _centered_scatter(centered.values))
 
-        def reestimator():
-            return _pc1_reestimate(centered.values, mean, scatter)
-
-    return FittedDetector(config.method, centered, r_sel, candidates, reestimator, iterations,
+    return FittedDetector(config.method, centered, r_sel, candidates, mean, scatter, iterations,
                           tuple(warnings))
 
 
@@ -414,9 +435,10 @@ def remove_many(fitted: FittedDetector,
     alive = np.ones((nb, T), dtype=bool)
     count = np.full(nb, T)
     scores = np.full((nb, T), np.nan)
-    # max-CGF directions make one pass, whatever re-estimator the fit carries
     pca = fitted.method is not DetectionMethod.MAX_CGF
-    reestimates = [fitted.reestimator() if pca else None for _ in betas]
+    if pca:  # per row: the survivors' mean, scatter, and trace at its last two-pass computation
+        state = (np.tile(fitted.mean, (nb, 1)), np.tile(fitted.scatter, (nb, 1, 1)),
+                 np.full(nb, np.trace(fitted.scatter)))
     traces: list[list[DirectionTrace]] = [[] for _ in betas]
     warnings = [list(fitted.warnings) for _ in betas]
     current: list[DirectionTrace | None] = [None] * nb  # a row's direction; None once it is done
@@ -489,7 +511,7 @@ def remove_many(fitted: FittedDetector,
             removed = np.count_nonzero(out, axis=1)
             scores[rows] = np.where(mask, q, scores[rows])
             alive[rows] ^= out
-            pending, scatters = [], []
+            pending = []  # positions in rows of the loops to re-estimate
             for j, b in enumerate(rows):
                 trace = current[b]
                 if not mad[j] > 0.0:
@@ -509,14 +531,15 @@ def remove_many(fitted: FittedDetector,
                     if count[b] < 3:
                         trace.note = "too few rows to keep scoring"
                     elif pca:
-                        scatters.append(reestimates[b](alive[b].nonzero()[0], Y[out[j]],
-                                                       trace.final_direction))
-                        pending.append(b)
+                        pending.append(j)
                         continue
                 advance(b)
-            for b, direction in zip(pending, _pc1(scatters) if pending else ()):
-                current[b].refine_iterations += 1
-                current[b].final_direction = _fix_sign(direction)
+            if pending:
+                rows = rows[pending]
+                directions = _fix_sign(_pc1(_downdate(Y, state, rows, alive[rows], out[pending])))
+                for b, direction in zip(rows.tolist(), directions):
+                    current[b].refine_iterations += 1
+                    current[b].final_direction = direction
 
         now = time.perf_counter()
         for b in running:

@@ -70,13 +70,24 @@ def confusion_rates(flags, truth) -> tuple[float, float]:
     truth = np.asarray(truth, dtype=bool).ravel()
     if flags.shape != truth.shape:
         raise ValueError("flags and truth must have equal length")
-    pos = int(truth.sum())
+    [tpr], [fpr] = _rates(flags[None], truth)
+    return tpr, fpr
+
+
+def _rates(flags: np.ndarray, truth: np.ndarray) -> tuple[list[float], list[float]]:
+    """The TPRs and FPRs of the rows of a k x T flag array against a length-T truth vector.
+
+    Rows that flag equally many rows of a class share one float object: a
+    sweep keeps every point.
+    """
+    pos = np.count_nonzero(truth)
     neg = truth.size - pos
     if pos == 0 or neg == 0:
         raise ValueError("truth must contain both outliers and ordinary rows")
-    tpr = float((flags & truth).sum()) / pos
-    fpr = float((flags & ~truth).sum()) / neg
-    return tpr, fpr
+    tp = np.count_nonzero(flags & truth, axis=1).tolist()
+    fp = np.count_nonzero(flags & ~truth, axis=1).tolist()
+    tpr, fpr = {c: c / pos for c in tp}, {c: c / neg for c in fp}
+    return [tpr[c] for c in tp], [fpr[c] for c in fp]
 
 
 def assemble_curve(
@@ -149,17 +160,18 @@ def roc_sweep(
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta_grid must be strictly ascending")
 
-    entries: list[tuple[float, float, float]] = []
     failures: list[tuple[float, str]] = []
     timings: list[tuple[float, float]] = []
+    flags = []
 
     fitted = fit(dataset.data, replace(base_config, method=method))
     for beta, (result, seconds) in zip(grid, remove_many(fitted, grid)):
         if isinstance(result, DetectionError):
             failures.append((beta, str(result)))
             continue
-        tpr, fpr = confusion_rates(result.outlier_flags, dataset.truth)
-        entries.append((beta, fpr, tpr))
+        flags.append(result.outlier_flags)
         timings.append((beta, seconds))
+    tpr, fpr = _rates(np.reshape(flags, (len(flags), dataset.data.n_obs)), dataset.truth)
+    entries = [(beta, f, t) for (beta, _), f, t in zip(timings, fpr, tpr)]
 
     return assemble_curve(entries, tuple(failures), tuple(timings))

@@ -29,6 +29,7 @@ from cgf_outliers import (
     sample_normal,
     select_radius,
 )
+import cgf_outliers.detector as detector_module
 from cgf_outliers.detector import _fix_sign, _pc1
 
 
@@ -238,7 +239,7 @@ def test_pca_baseline_detects_planted_block():
     assert np.mean(hits) > 0.5
 
 
-def test_pca_reestimate_tracks_covariance_pca_pc1_past_gross_outliers():
+def test_pca_reestimate_tracks_covariance_pca_pc1_past_gross_outliers(monkeypatch):
     # the re-estimate downdates the survivors' scatter by each pass's dropped
     # rows and recomputes it once the downdate could cancel; along real
     # removal sequences the direction `remove` solves from it must stay within
@@ -246,6 +247,18 @@ def test_pca_reestimate_tracks_covariance_pca_pc1_past_gross_outliers():
     # dropped rows dominated the scatter
     def pc1(Y):
         return _fix_sign(covariance_pca(DataMatrix(Y)).pc1)
+
+    downdate = detector_module._downdate
+    calls = []  # (survivors, scatter) of each re-estimated loop
+
+    def recording(values, state, rows, alive, out):
+        scatters = downdate(values, state, rows, alive, out)
+        calls.extend(zip(alive, scatters))
+        return scatters
+
+    def exact(values, state, rows, alive, out):
+        # scatters whose PC1s are covariance_pca's PC1s of the survivors
+        return np.stack([np.outer(d, d) for d in (pc1(values[a]) for a in alive)])
 
     checked = 0
     rng = np.random.default_rng(17)
@@ -259,51 +272,38 @@ def test_pca_reestimate_tracks_covariance_pca_pc1_past_gross_outliers():
         for k, x in enumerate(draws):
             fitted = fit(DataMatrix(x), DetectorConfig(beta=3.0, method="pca"))
             values = fitted.centered.values
-            calls = []  # (survivors, direction) of each re-estimate call
-
-            def recording():
-                reestimate = fitted.reestimator()
-
-                def recorded(alive, dropped, theta):
-                    calls.append((alive, theta))
-                    return reestimate(alive, dropped, theta)
-
-                return recorded
-
-            def exact(alive, dropped, theta):
-                # a scatter whose PC1 is covariance_pca's PC1 of the survivors
-                direction = pc1(values[alive])
-                return np.outer(direction, direction)
-
-            reference = replace(fitted, reestimator=lambda: exact)
             for beta in (1.0, 2.0, 3.0, 4.0):
                 calls.clear()
-                got = remove(replace(fitted, reestimator=recording), beta)
-                want = remove(reference, beta)
+                monkeypatch.setattr(detector_module, "_downdate", recording)
+                got = remove(fitted, beta)
+                monkeypatch.setattr(detector_module, "_downdate", exact)
+                want = remove(fitted, beta)
                 case = (n, k, beta)
-                # each re-estimate's direction is the next call's theta, the last one's
-                # is the final direction
+                # each re-estimate's direction is its scatter's PC1 from the batched
+                # solve, the last one's is the final direction
                 trace = got.directions_used[0]
-                directions = [theta for _, theta in calls[1:]] + [trace.final_direction]
                 assert trace.refine_iterations == len(calls), case
-                for (alive, _), direction in zip(calls, directions):
-                    assert np.abs(direction - pc1(values[alive])).max() < 1e-6, case
-                    checked += 1
+                if calls:
+                    directions = _fix_sign(_pc1(np.stack([scatter for _, scatter in calls])))
+                    assert np.array_equal(directions[-1], trace.final_direction), case
+                    for (alive, _), direction in zip(calls, directions):
+                        assert np.abs(direction - pc1(values[alive])).max() < 1e-6, case
+                        checked += 1
                 assert np.array_equal(got.outlier_flags, want.outlier_flags), case
                 assert np.array_equal(np.isnan(got.q_scores), np.isnan(want.q_scores)), case
                 assert np.nanmax(np.abs(got.q_scores - want.q_scores), initial=0.0) < 1e-6, case
     assert checked > 100
 
 
-def test_empty_first_pass_skips_the_direction():
+def test_empty_first_pass_skips_the_direction(monkeypatch):
     # a beta no row reaches: every direction past the gate scores its rows,
     # removes none and ends there, without a re-estimate
     rng = np.random.default_rng(5)
     returns = np.concatenate([rng.normal(0.0, 0.01, (200, 8)),
                               rng.normal(0.0, 0.01 * np.sqrt(10.0), (40, 8))])
     cfg = DetectorConfig(beta=1e6, multistart=MultistartConfig(n_starts=50, seed=5))
-    fitted, calls = _counting_reestimates(fit(DataMatrix(returns), cfg))
-    report = remove(fitted, cfg.beta)
+    calls = _counting_reestimates(monkeypatch)
+    report = remove(fit(DataMatrix(returns), cfg), cfg.beta)
     assert calls == [] and report.n_flagged == 0
     notes = [t.note for t in report.directions_used]
     assert "no score above beta" in notes
@@ -326,20 +326,20 @@ def test_flag_count_monotone_in_beta_on_average():
 
 
 def test_maxcgf_directions_make_one_pass(monkeypatch):
-    # a max-CGF direction is scored once and never re-estimated, so the
-    # refine is never called and the report counts the multistart alone
-    import cgf_outliers.detector as detector_module
-
+    # a max-CGF direction is scored once and never re-estimated, so neither
+    # the refine nor the pca downdate is called and the report counts the
+    # multistart alone
     def refine(*args):
         raise AssertionError("a max-CGF direction was re-estimated")
 
     monkeypatch.setattr(detector_module, "refine_direction", refine)
+    monkeypatch.setattr(detector_module, "_downdate", refine)
     removed = 0
     for seed in range(3):
         ds = inject_outliers(SimulationSpec(family="std_normal", n=4, T=100, seed=seed))
         fitted = fit(ds.data, DetectorConfig(beta=3.0,
                                              multistart=MultistartConfig(n_starts=20, seed=seed)))
-        assert fitted.reestimator is None
+        assert fitted.mean is None and fitted.scatter is None
         for beta in (1.5, 3.0):
             report = remove(fitted, beta)
             assert report.iterations_total == fitted.iterations
@@ -351,8 +351,6 @@ def test_maxcgf_directions_make_one_pass(monkeypatch):
 
 
 def test_ascent_violations_are_reported(monkeypatch):
-    import cgf_outliers.detector as detector_module
-
     real = detector_module.maximize_cgf
     monkeypatch.setattr(detector_module, "maximize_cgf",
                         lambda *args: replace(real(*args), ascent_violations=2))
@@ -362,58 +360,55 @@ def test_ascent_violations_are_reported(monkeypatch):
     assert report.warnings.count("2 ascent iterations decreased the objective") == 1
 
 
-def _counting_reestimates(fitted):
-    """The fit with its re-estimator wrapped; calls[k] lists the surviving rows each call saw.
+def _counting_reestimates(monkeypatch) -> list[int]:
+    """Wrap the pca downdate; the list gets the surviving row count of each loop it downdates."""
+    calls: list[int] = []
+    downdate = detector_module._downdate
 
-    A direction's first re-estimate is handed the candidate direction itself,
-    so each call that receives a candidate array opens a new list.
-    """
-    calls: list[list[int]] = []
-    candidates = [theta for theta, _ in fitted.candidates]
+    def counted(values, state, rows, alive, out):
+        calls.extend(np.count_nonzero(alive, axis=1).tolist())
+        return downdate(values, state, rows, alive, out)
 
-    def counting():
-        reestimate = fitted.reestimator()
-
-        def counted(alive, dropped, theta):
-            if any(theta is c for c in candidates):
-                calls.append([])
-            calls[-1].append(alive.size)
-            return reestimate(alive, dropped, theta)
-
-        return counted
-
-    return replace(fitted, reestimator=counting), calls
+    monkeypatch.setattr(detector_module, "_downdate", counted)
+    return calls
 
 
-def test_each_reestimate_after_the_first_follows_a_productive_pass():
+def test_each_reestimate_after_the_first_follows_a_productive_pass(monkeypatch):
     # the acceptance price fixture's returns: 200 calm days, then 40 at 10x
     # variance; a direction that re-estimated after passes that removed
     # nothing crept here for thousands of passes. PC1 is the one direction
     # that is re-estimated
+    calls = _counting_reestimates(monkeypatch)
     for seed, beta in [(0, 4.0), (1, 4.0), (2, 4.0), (2, 6.0)]:
         rng = np.random.default_rng(seed)
         returns = np.concatenate([rng.normal(0.0, 0.01, (200, 8)),
                                   rng.normal(0.0, 0.01 * np.sqrt(10.0), (40, 8))])
         cfg = DetectorConfig(beta=beta, method="pca")
-        fitted, calls = _counting_reestimates(fit(DataMatrix(returns), cfg))
-        report = remove(fitted, cfg.beta)
+        calls.clear()
+        report = remove(fit(DataMatrix(returns), cfg), cfg.beta)
         assert calls
-        # rows alive when each direction that re-estimated was reached
-        reached, alive = [], returns.shape[0]
+        # rows alive when each direction that re-estimated was reached, and
+        # the downdates along each direction that re-estimated, in loop order
+        reached, alive, along = [], returns.shape[0], []
         for trace in report.directions_used:
             if trace.removed:
                 reached.append(alive)
+            if trace.refine_iterations:
+                start = sum(map(len, along))
+                along.append(calls[start:start + trace.refine_iterations])
             alive -= trace.removed
-        assert len(reached) == len(calls)
-        for before, rows in zip(reached, calls):
+        assert sum(map(len, along)) == len(calls)
+        assert len(reached) == len(along)
+        for before, rows in zip(reached, along):
             productive = sum(b < a for a, b in zip([before] + rows, rows))
             assert len(rows) == productive, (seed, before, rows[:5])
 
 
-def test_gaussian_projection_is_skipped_without_scoring():
+def test_gaussian_projection_is_skipped_without_scoring(monkeypatch):
     x = np.random.default_rng(0).standard_normal((1000, 3))
     cfg = DetectorConfig(beta=3.0, multistart=MultistartConfig(n_starts=30, seed=0))
-    fitted, calls = _counting_reestimates(fit(DataMatrix(x), cfg))
+    fitted = fit(DataMatrix(x), cfg)
+    calls = _counting_reestimates(monkeypatch)
     report = remove(fitted, cfg.beta)
     assert calls == []
     assert report.warnings == []
@@ -427,10 +422,11 @@ def test_gaussian_projection_is_skipped_without_scoring():
         assert trace.final_direction is trace.initial_direction
 
 
-def test_every_exit_of_remove_is_pinned():
+def test_every_exit_of_remove_is_pinned(monkeypatch):
     # 40 standard-normal rows with planted outliers and an all-zero fourth
     # column; the PCA fit has one candidate, and each case swaps the
-    # candidates or the re-estimator of that one fit
+    # candidates of that one fit or the downdate that gives its re-estimates'
+    # scatters
     ds = inject_outliers(SimulationSpec(family="std_normal", n=3, T=40, seed=1))
     fitted = fit(DataMatrix(np.column_stack([ds.data.values, np.zeros(40)])),
                  DetectorConfig(beta=3.0, method="pca"))
@@ -438,8 +434,13 @@ def test_every_exit_of_remove_is_pinned():
     head = list(fitted.warnings)
     assert fitted.iterations == 0 and len(head) == 1  # the infeasible-radius warning
 
-    def run(beta, **swap):
-        report = remove(replace(fitted, **swap), beta)
+    def always(scatter):  # a downdate that gives every loop this scatter
+        return lambda values, state, rows, alive, out: np.repeat(scatter[None], len(rows), 0)
+
+    def run(beta, downdate=detector_module._downdate, **swap):
+        with monkeypatch.context() as patch:
+            patch.setattr(detector_module, "_downdate", downdate)
+            report = remove(replace(fitted, **swap), beta)
         exits = [(t.note, len(t.kurtosis_trace), t.removed, t.refine_iterations)
                  for t in report.directions_used]
         assert report.iterations_total == sum(e[3] for e in exits)
@@ -450,11 +451,12 @@ def test_every_exit_of_remove_is_pinned():
         [("constant projection", 0, 0, 0)], ["direction 1 ended: constant projection"])
     # the first re-estimate lands on the zero column: the same exit, after rows were removed
     on_zero_axis = np.outer(zero_axis, zero_axis)
-    assert run(3.0, reestimator=lambda: lambda alive, dropped, theta: on_zero_axis) == (
+    assert run(3.0, always(on_zero_axis)) == (
         [("constant projection", 1, 4, 1)], ["direction 1 ended: constant projection"])
-    # a re-estimator that keeps the direction peels down to one row; the
+    # re-estimates that keep the candidate direction peel down to one row; the
     # direction ends there, before a re-estimate on it
-    assert run(0.5, reestimator=lambda: lambda alive, dropped, theta: np.outer(theta, theta)) == (
+    theta = fitted.candidates[0][0]
+    assert run(0.5, always(np.outer(theta, theta))) == (
         [("too few rows to keep scoring", 3, 39, 2)], [])
     # the same with PC1 re-estimates; the second copy of the candidate is never reached
     twice = fitted.candidates * 2
@@ -467,25 +469,25 @@ def test_every_exit_of_remove_is_pinned():
         ["2 rows remain; stopping before direction 2"])
 
 
-def test_every_reestimate_sees_at_least_three_rows():
+def test_every_reestimate_sees_at_least_three_rows(monkeypatch):
     # low betas peel the rows fast; a pass that leaves fewer than 3 rows ends
     # its direction before the re-estimate, for both methods
     seen = []
+    calls = _counting_reestimates(monkeypatch)
     for T, seed in [(40, 0), (40, 1), (500, 2)]:
         ds = inject_outliers(SimulationSpec(family="std_normal", n=3, T=T, seed=seed))
         for method in ("maxcgf", "pca"):
             cfg = DetectorConfig(beta=1.0, method=method,
                                  multistart=MultistartConfig(n_starts=20, seed=seed))
-            fitted, calls = _counting_reestimates(fit(ds.data, cfg))
+            fitted = fit(ds.data, cfg)
             for beta in (0.5, 0.6, 0.75, 1.0):
                 calls.clear()
                 try:
                     report = remove(fitted, beta)
                 except DetectionError:
                     continue
-                rows = [size for direction in calls for size in direction]
-                assert min(rows, default=3) >= 3, (T, method, beta)
-                seen += rows
+                assert min(calls, default=3) >= 3, (T, method, beta)
+                seen += calls
                 assert np.array_equal(report.outlier_flags, report.q_scores > report.beta)
     assert seen and min(seen) <= 5
 
@@ -543,18 +545,42 @@ def test_remove_on_one_fit_matches_detect_at_each_beta():
                 remove(fitted, beta)
 
 
-def test_lockstep_betas_match_one_beta_runs():
+def test_lockstep_betas_match_one_beta_runs(monkeypatch):
     # remove_many runs every beta's loop as a row of one array program, and a
-    # step's PCA re-estimates share one stacked solve; each beta must get what
-    # remove gives it alone, bit for bit, or fail with the same message.
-    # Student-t draws at T=500 make several PCA passes; the price fixture's
-    # returns are 200 calm days, then 40 at 10x variance
+    # step's PCA re-estimates share one downdate and one stacked solve; each
+    # beta must get what remove gives it alone, bit for bit, or fail with the
+    # same message. Student-t draws at T=500 make several PCA passes; the
+    # price fixture's returns are 200 calm days, then 40 at 10x variance. The
+    # last draw is the first with one row scaled by 1e8: dropping it cancels
+    # the downdated scatter, so the PCA loops recompute it by two passes in
+    # one step of many rows
     sigma = default_covariance(30, 20.0, seed=0)
     rng = np.random.default_rng(2)
     draws = [inject_outliers(SimulationSpec(family="student_t", n=30, T=500, seed=seed,
                                             sigma_mat=sigma, nu=5.0)).data for seed in (0, 1)]
     draws.append(DataMatrix(np.concatenate([rng.normal(0.0, 0.01, (200, 8)),
                                             rng.normal(0.0, 0.01 * np.sqrt(10.0), (40, 8))])))
+    gross = draws[0].values.copy()
+    gross[7] *= 1e8
+    draws.append(DataMatrix(gross))
+    # the number of loops in each downdate that recomputed a scatter by two passes
+    downdate, centered_scatter = detector_module._downdate, detector_module._centered_scatter
+    loops, recomputed = [0], []
+
+    def sized(values, state, rows, alive, out):
+        loops[0] = len(rows)
+        try:
+            return downdate(values, state, rows, alive, out)
+        finally:
+            loops[0] = 0
+
+    def counted(Y):
+        if loops[0]:
+            recomputed.append(loops[0])
+        return centered_scatter(Y)
+
+    monkeypatch.setattr(detector_module, "_downdate", sized)
+    monkeypatch.setattr(detector_module, "_centered_scatter", counted)
     grid = [1e-9, *default_beta_grid()]
     failed, most_passes = set(), 0
     for k, data in enumerate(draws):
@@ -577,6 +603,7 @@ def test_lockstep_betas_match_one_beta_runs():
                                                    for t in alone.directions_used])
     assert {beta for _, _, beta in failed} == {1e-9}
     assert most_passes >= 5
+    assert max(recomputed) > 1
 
 
 def test_the_row_at_the_mad_ties_beta_one_and_stays():

@@ -28,12 +28,15 @@ also says whether the two sides' outputs (flags, or ROC points and failures)
 were equal in every round. After the timed rounds, each side runs the job
 PEAK_RUNS more times under `tracemalloc`, and the output gives the median
 peak of traced memory per job beside the CPU seconds. Tracing slows every
-allocation, so no timed run is traced.
+allocation, so no timed run is traced. The last line applies the gain rule
+to B's CPU seconds: B must be lower in at least nine tenths of the rounds,
+and its median lower than A's by more than A's interquartile distance.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import math
 import os
 import statistics
 import sys
@@ -159,9 +162,14 @@ def main(argv: list[str]) -> int:
               f"runs {' '.join(f'{v:.4f}' for v in values)}  "
               f"tracemalloc peak {peak:.3f} MB (median of {PEAK_RUNS})")
     q1, q2, q3 = quartiles(ratios)
-    print(f"B/A: median {q2:.4f}  quartiles {q1:.4f}-{q3:.4f}  "
-          f"B lower in {sum(x < 1.0 for x in ratios)} of {rounds}")
+    wins = sum(x < 1.0 for x in ratios)
+    print(f"B/A: median {q2:.4f}  quartiles {q1:.4f}-{q3:.4f}  B lower in {wins} of {rounds}")
     print(f"outputs equal in every round: {'yes' if same else 'no'}")
+    a1, a2, a3 = quartiles(cpu[0])
+    gap = a2 - statistics.median(cpu[1])
+    met = wins >= 0.9 * rounds and gap > a3 - a1
+    print(f"gain rule: B lower in {wins} of {rounds} (needs {math.ceil(0.9 * rounds)}), "
+          f"median gap {gap:.4f} against A's IQR {a3 - a1:.4f}: {'met' if met else 'not met'}")
     return 0
 
 
