@@ -45,14 +45,15 @@ its value at the last two-pass computation, the re-estimate computes mean
 and scatter again by two passes over the survivors.
 
 `remove_many` runs the loops of several betas as rows of one array program,
-and `remove` is the same driver with one beta. Each step makes one pass of
-every unfinished row. A max-CGF step projects candidate k once for all rows;
-a pca row projects its own direction. The pca states are arrays with one
-row per beta; a step downdates all its re-estimated rows at once
-(`_downdate`), and their PC1s come from one stacked solve by repeated
-squaring with a certificate (`_pc1`), or from `eigh` where it does not
-certify. A row's sums run along that row alone, its median and MAD are
-exact order statistics, and the downdate and the solve act on each row
+and `remove` is the same driver with one beta. The rows take the candidates
+in turn. Each step makes one pass of every row still on candidate k, so a
+max-CGF row makes one step per candidate; the first pass reads k's projection,
+which all rows share, and a pca row's later passes project its re-estimate.
+The pca states are arrays with one row per beta; a step downdates all its
+re-estimated rows at once (`_downdate`), and their PC1s come from one stacked
+solve by repeated squaring with a certificate (`_pc1`), or from `eigh` where
+it does not certify. A row's sums run along that row alone, its median and MAD
+are exact order statistics, and the downdate and the solve act on each row
 alone, so a beta's report is the same bits whichever betas share its steps.
 """
 
@@ -108,7 +109,7 @@ _RECOMPUTE_BELOW = 1e-3
 # to reach it; a matrix still short of it after the cap goes to eigh.
 _CERTIFIED = 1.0 - 1e-13
 _SQUARINGS = 16
-# Candidates projected by one product: a block x T buffer, as the multistart's
+# Candidates the removal loop projects by one product, a block x T buffer as the multistart's
 _CANDIDATE_BLOCK = 64
 
 
@@ -419,12 +420,13 @@ def remove_many(fitted: FittedDetector,
     """Run the removal loops of several betas on one fit, as rows of one array program.
 
     Row b is beta b's loop: a survivor mask and a score per row of the data.
-    Each step makes one pass of every unfinished row: it projects each row's
-    direction, tests all rows' kurtosis together, then takes the medians, MADs
-    and q-scores of the rows that pass, and its PCA re-estimates share one PC1
-    solve. Returns, per beta in order, its report or the DetectionError its
-    loop met, and its seconds: each step's wall clock is split equally among
-    the rows it advanced.
+    The rows take the candidates in turn, and every row that reaches candidate
+    k runs its passes on it before any row moves on. Each step makes one pass
+    of every row still on k: it tests all their kurtosis together, then takes
+    the medians, MADs and q-scores of the rows that pass, and their PCA
+    re-estimates share one PC1 solve. Returns, per beta in order, its report
+    or the DetectionError its loop met, and its seconds: each step's wall
+    clock is split equally among the rows it advanced.
     """
     betas = list(betas)
     if not all(0 < beta < math.inf for beta in betas):
@@ -441,111 +443,90 @@ def remove_many(fitted: FittedDetector,
                  np.full(nb, np.trace(fitted.scatter)))
     traces: list[list[DirectionTrace]] = [[] for _ in betas]
     warnings = [list(fitted.warnings) for _ in betas]
-    current: list[DirectionTrace | None] = [None] * nb  # a row's direction; None once it is done
     errors: list[DetectionError | None] = [None] * nb
     seconds = [0.0] * nb
-    block: dict[int, np.ndarray] = {}  # block index -> its candidates' projections
-
-    def advance(b: int) -> None:  # row b reaches its next direction, or is done
-        k = len(traces[b])
-        current[b] = None
-        if k < len(candidates) and count[b] < 3:
-            warnings[b].append(f"{count[b]} rows remain; stopping before direction {k + 1}")
-        elif k < len(candidates):
-            theta0, cgf_value = candidates[k]
-            current[b] = DirectionTrace(initial_direction=theta0, final_direction=theta0,
-                                        cgf_value=cgf_value)
-            traces[b].append(current[b])
+    running = list(range(nb))  # the rows that have not failed or run out of rows
 
     start = time.perf_counter()
-    for b in range(nb):
-        advance(b)
-    running = [b for b in range(nb) if current[b] is not None]
-    while running:  # each step makes one pass of every running row
-        # a candidate is projected with its block of candidates, a re-estimate on its own
-        Z = np.empty((len(running), T))
-        own = []
-        for i, b in enumerate(running):
-            if current[b].refine_iterations:
-                own.append(i)
-                continue
-            index, at = divmod(len(traces[b]) - 1, _CANDIDATE_BLOCK)
-            if index not in block:  # one block is kept
-                directions = candidates[index * _CANDIDATE_BLOCK:][:_CANDIDATE_BLOCK]
-                block = {index: np.stack([c for c, _ in directions]) @ Y.T}
-            Z[i] = block[index][at]
-        if own:
-            thetas = np.stack([current[running[i]].final_direction for i in own])
-            Z[own] = np.matmul(thetas[:, None, :], Y.T)[:, 0]  # the same bits for any stack
-        mask, m = alive[running], count[running]
-        m2, kur = _row_moments(Z, mask, m)
-        scored = []  # positions in running of the rows that passed the test
-        for i, b in enumerate(running):
-            trace = current[b]
-            if not m2[i] > 0.0:  # zero variance, or a non-finite direction
-                trace.note = "constant projection"
-                warnings[b].append(f"direction {len(traces[b])} ended: constant projection")
-                advance(b)
-                continue
-            trace.kurtosis_trace.append(float(kur[i]))
-            if not trace.removed:
-                if kur[i] <= 3.0 + _GATE_SE * math.sqrt(24.0 / m[i]):
-                    trace.note = "Gaussian projection"
-                    advance(b)
-                    continue
-            elif not kur[i] < trace.kurtosis_trace[-2]:
-                advance(b)  # kurtosis stopped falling: this direction is exhausted
-                continue
-            scored.append(i)
-
-        if scored:
-            rows = np.array(running)[scored]
-            Z, mask, m = Z[scored], mask[scored], m[scored]
-            Z -= _row_medians(Z, mask, m)[:, None]
-            dev = np.abs(Z, out=Z)
-            mad = _row_medians(dev, mask, m)
-            with np.errstate(divide="ignore", invalid="ignore"):  # zero-MAD rows stop below
-                q = np.divide(dev, mad[:, None], out=dev)
-            mask &= (mad > 0.0)[:, None]
-            out = mask & (q > limit[rows])  # strict: ties at beta stay
-            removed = np.count_nonzero(out, axis=1)
-            scores[rows] = np.where(mask, q, scores[rows])
-            alive[rows] ^= out
-            pending = []  # positions in rows of the loops to re-estimate
-            for j, b in enumerate(rows):
-                trace = current[b]
-                if not mad[j] > 0.0:
-                    trace.note = "zero MAD"
-                    warnings[b].append(f"direction {len(traces[b])} stopped: zero MAD projection")
-                elif removed[j] == m[j]:
-                    errors[b] = DetectionError(
-                        "every remaining observation scored above beta; nothing would survive")
-                    current[b] = None
-                    continue
-                elif not removed[j]:  # nothing changed to re-estimate on
-                    if not trace.removed:
-                        trace.note = "no score above beta"
-                else:
-                    trace.removed += int(removed[j])
-                    count[b] -= removed[j]
-                    if count[b] < 3:
-                        trace.note = "too few rows to keep scoring"
-                    elif pca:
-                        pending.append(j)
-                        continue
-                advance(b)
-            if pending:
-                rows = rows[pending]
-                directions = _fix_sign(_pc1(_downdate(Y, state, rows, alive[rows], out[pending])))
-                for b, direction in zip(rows.tolist(), directions):
-                    current[b].refine_iterations += 1
-                    current[b].final_direction = direction
-
-        now = time.perf_counter()
+    for k, (theta0, cgf_value) in enumerate(candidates):
         for b in running:
-            seconds[b] += (now - start) / len(running)
-        start = now
-        running = [b for b in running if current[b] is not None]
+            if count[b] < 3:
+                warnings[b].append(f"{count[b]} rows remain; stopping before direction {k + 1}")
+        running = [b for b in running if count[b] >= 3]
+        if not running:
+            break
+        if k % _CANDIDATE_BLOCK == 0:  # one product projects the next block of candidates
+            block = np.stack([c for c, _ in candidates[k:k + _CANDIDATE_BLOCK]]) @ Y.T
+        for b in running:
+            traces[b].append(DirectionTrace(initial_direction=theta0, final_direction=theta0,
+                                            cgf_value=cgf_value))
+        rows = np.array(running)  # the rows still on candidate k
+        Z = np.broadcast_to(block[k % _CANDIDATE_BLOCK], (len(rows), T))
+        while rows.size:  # each step makes one pass of every row on candidate k
+            mask, m = alive[rows], count[rows]
+            m2, kur = _row_moments(Z, mask, m)
+            scored = []  # positions in rows of the rows that passed the test
+            for i, b in enumerate(rows):
+                trace = traces[b][-1]
+                if not m2[i] > 0.0:  # zero variance, or a non-finite direction
+                    trace.note = "constant projection"
+                    warnings[b].append(f"direction {k + 1} ended: constant projection")
+                    continue
+                trace.kurtosis_trace.append(float(kur[i]))
+                if not trace.removed:
+                    if kur[i] <= 3.0 + _GATE_SE * math.sqrt(24.0 / m[i]):
+                        trace.note = "Gaussian projection"
+                        continue
+                elif not kur[i] < trace.kurtosis_trace[-2]:
+                    continue  # kurtosis stopped falling: this direction is exhausted
+                scored.append(i)
+
+            stepped, rows = rows, rows[scored]
+            if rows.size:
+                Z, mask, m = Z[scored], mask[scored], m[scored]
+                Z -= _row_medians(Z, mask, m)[:, None]
+                dev = np.abs(Z, out=Z)
+                mad = _row_medians(dev, mask, m)
+                with np.errstate(divide="ignore", invalid="ignore"):  # zero-MAD rows stop below
+                    q = np.divide(dev, mad[:, None], out=dev)
+                mask &= (mad > 0.0)[:, None]
+                out = mask & (q > limit[rows])  # strict: ties at beta stay
+                removed = np.count_nonzero(out, axis=1)
+                scores[rows] = np.where(mask, q, scores[rows])
+                alive[rows] ^= out
+                pending = []  # positions in rows of the loops to re-estimate
+                for j, b in enumerate(rows):
+                    trace = traces[b][-1]
+                    if not mad[j] > 0.0:
+                        trace.note = "zero MAD"
+                        warnings[b].append(f"direction {k + 1} stopped: zero MAD projection")
+                    elif removed[j] == m[j]:
+                        errors[b] = DetectionError(
+                            "every remaining observation scored above beta; nothing would survive")
+                        running.remove(b)
+                    elif not removed[j]:  # nothing changed to re-estimate on
+                        if not trace.removed:
+                            trace.note = "no score above beta"
+                    else:
+                        trace.removed += int(removed[j])
+                        count[b] -= removed[j]
+                        if count[b] < 3:
+                            trace.note = "too few rows to keep scoring"
+                        elif pca:
+                            pending.append(j)
+                rows = rows[pending]
+                if rows.size:
+                    directions = _fix_sign(_pc1(_downdate(Y, state, rows, alive[rows],
+                                                          out[pending])))
+                    for b, direction in zip(rows.tolist(), directions):
+                        traces[b][-1].refine_iterations += 1
+                        traces[b][-1].final_direction = direction
+                    Z = np.matmul(directions[:, None, :], Y.T)[:, 0]  # the same bits for any stack
+
+            now = time.perf_counter()
+            for b in stepped.tolist():
+                seconds[b] += (now - start) / len(stepped)
+            start = now
 
     return [(errors[b] or DetectionReport(
         outlier_flags=scores[b] > betas[b],

@@ -46,10 +46,11 @@ class RocCurve:
     and (1,1) anchors contribute J = 0; beta_star is the smallest beta
     attaining it (NaN when only an anchor does). failures lists (beta,
     message) for grid points whose removal loop errored; timings lists one
-    (beta, seconds) pair per completed beta. `remove_many` advances every
-    unfinished beta by one pass per step and splits each step's wall clock
-    equally among the betas it advanced, so a beta's seconds are its share of
-    the steps it took part in. They exclude the fit the betas share.
+    (beta, seconds) pair per completed beta. `remove_many` takes the
+    candidate directions in turn, advances every beta still on the current
+    one by one pass per step, and splits each step's wall clock equally among
+    the betas it advanced, so a beta's seconds are its share of the steps it
+    took part in. They exclude the fit the betas share.
     """
 
     points: tuple[RocPoint, ...]
@@ -171,7 +172,9 @@ def roc_sweep(
             continue
         flags.append(result.outlier_flags)
         timings.append((beta, seconds))
-    tpr, fpr = _rates(np.reshape(flags, (len(flags), dataset.data.n_obs)), dataset.truth)
+    # bool and (0, T) when every beta failed: _rates takes & of the stack
+    stack = np.array(flags, dtype=bool).reshape(len(flags), dataset.data.n_obs)
+    tpr, fpr = _rates(stack, dataset.truth)
     entries = [(beta, f, t) for (beta, _), f, t in zip(timings, fpr, tpr)]
 
     return assemble_curve(entries, tuple(failures), tuple(timings))

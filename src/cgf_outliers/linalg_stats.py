@@ -139,23 +139,8 @@ def median_and_mad(z) -> tuple[float, float]:
     mad = 0 and the caller must handle that case.
     """
     arr = _as_vector(z)
-    med = _median_inplace(arr.copy())
-    return med, _median_inplace(np.abs(arr - med))
-
-
-def _median_inplace(a: np.ndarray) -> float:
-    # np.median's arithmetic on one in-place partition of a scratch vector
-    h = a.size // 2
-    if a.size % 2:
-        a.partition(h)
-        return float(a[h])
-    a.partition((h - 1, h))
-    return float((a[h - 1] + a[h]) / 2.0)
-
-
-def _mean(x: np.ndarray) -> float:
-    # np.mean's arithmetic (the same pairwise sum, then one division) without its wrappers
-    return float(np.add.reduce(x) / x.size)
+    med = float(np.median(arr))
+    return med, float(np.median(np.abs(arr - med)))
 
 
 def kurtosis(z) -> float:
@@ -163,22 +148,22 @@ def kurtosis(z) -> float:
     arr = _as_vector(z)
     if arr.size < 2:
         raise ValueError("kurtosis needs at least 2 observations")
-    dev = arr - _mean(arr)
+    dev = arr - arr.mean()
     sq = dev * dev
-    m2 = _mean(sq)
+    m2 = float(sq.mean())
     if m2 == 0.0:
         raise DegenerateInputError("kurtosis undefined for zero-variance input")
-    m4 = _mean(sq * sq)
+    m4 = float((sq * sq).mean())
     return m4 / (m2 * m2)
 
 
 def first_four_cumulants(z) -> tuple[float, float, float, float]:
     """(k1, k2, k3, k4) from population central moments: k4 = m4 - 3*m2**2."""
     arr = _as_vector(z)
-    k1 = _mean(arr)
+    k1 = float(arr.mean())
     dev = arr - k1
     sq = dev * dev
-    m2 = _mean(sq)
-    m3 = _mean(sq * dev)
-    m4 = _mean(sq * sq)
+    m2 = float(sq.mean())
+    m3 = float((sq * dev).mean())
+    m4 = float((sq * sq).mean())
     return k1, m2, m3, m4 - 3.0 * m2 * m2

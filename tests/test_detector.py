@@ -553,7 +553,8 @@ def test_lockstep_betas_match_one_beta_runs(monkeypatch):
     # price fixture's returns are 200 calm days, then 40 at 10x variance. The
     # last draw is the first with one row scaled by 1e8: dropping it cancels
     # the downdated scatter, so the PCA loops recompute it by two passes in
-    # one step of many rows
+    # one step of many rows. Each pca fit also runs with its candidate listed
+    # twice: the betas reach the second after different numbers of passes
     sigma = default_covariance(30, 20.0, seed=0)
     rng = np.random.default_rng(2)
     draws = [inject_outliers(SimulationSpec(family="student_t", n=30, T=500, seed=seed,
@@ -582,28 +583,38 @@ def test_lockstep_betas_match_one_beta_runs(monkeypatch):
     monkeypatch.setattr(detector_module, "_downdate", sized)
     monkeypatch.setattr(detector_module, "_centered_scatter", counted)
     grid = [1e-9, *default_beta_grid()]
-    failed, most_passes = set(), 0
+    fits = []
     for k, data in enumerate(draws):
         for method in ("pca", "maxcgf"):
-            fitted = fit(data, DetectorConfig(beta=3.0, method=method,
-                                              multistart=MultistartConfig(n_starts=200, seed=k)))
-            results = remove_many(fitted, grid)
-            assert len(results) == len(grid)
-            for beta, (result, seconds) in zip(grid, results):
-                assert seconds >= 0.0
-                try:
-                    alone = remove(fitted, beta)
-                except DetectionError as err:
-                    assert isinstance(result, DetectionError), (k, method, beta)
-                    assert str(result) == str(err)
-                    failed.add((k, method, beta))
-                    continue
-                _assert_same_report(result, alone)
-                most_passes = max([most_passes] + [len(t.kurtosis_trace)
-                                                   for t in alone.directions_used])
+            config = DetectorConfig(beta=3.0, method=method,
+                                    multistart=MultistartConfig(n_starts=200, seed=k))
+            fits.append((k, method, fit(data, config)))
+    fits += [(k, "pca twice", replace(fitted, candidates=fitted.candidates * 2))
+             for k, method, fitted in fits if method == "pca"]
+    failed, most_passes, staggered = set(), 0, 0
+    for k, method, fitted in fits:
+        results = remove_many(fitted, grid)
+        assert len(results) == len(grid)
+        for beta, (result, seconds) in zip(grid, results):
+            assert seconds >= 0.0
+            try:
+                alone = remove(fitted, beta)
+            except DetectionError as err:
+                assert isinstance(result, DetectionError), (k, method, beta)
+                assert str(result) == str(err)
+                failed.add((k, method, beta))
+                continue
+            _assert_same_report(result, alone)
+            most_passes = max([most_passes] + [len(t.kurtosis_trace)
+                                               for t in alone.directions_used])
+        # the passes on the first direction of the loops that reach a second
+        reach = {len(r.directions_used[0].kurtosis_trace) for r, _ in results
+                 if not isinstance(r, DetectionError) and len(r.directions_used) > 1}
+        staggered += method == "pca twice" and len(reach) > 1
     assert {beta for _, _, beta in failed} == {1e-9}
     assert most_passes >= 5
     assert max(recomputed) > 1
+    assert staggered == len(draws)
 
 
 def test_the_row_at_the_mad_ties_beta_one_and_stays():

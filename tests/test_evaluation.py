@@ -191,6 +191,17 @@ def test_roc_sweep_records_failures_without_warning():
     assert curve.points[0].beta == 4.0
 
 
+@pytest.mark.parametrize("method", ["maxcgf", "pca"])
+def test_roc_sweep_with_every_beta_failing_has_no_points(method):
+    # no flag vector is left to stack: the curve is the anchors alone
+    grid = [1e-9, 2e-9]
+    curve = roc_sweep(_planted_dataset(), method, grid, _sweep_config())
+    assert curve.points == () and curve.timings == ()
+    assert [beta for beta, _ in curve.failures] == grid
+    assert curve.auc == 0.5 and curve.bcv == 0.0
+    assert np.isnan(curve.beta_star)
+
+
 def test_roc_sweep_grid_validation():
     dataset = _planted_dataset()
     config = _sweep_config()

@@ -739,3 +739,21 @@ def test_cli_sweep_aggregates(tmp_path):
                 "bcv_max", "beta_star_mode"):
         assert key in agg
     assert agg["auc_min"] <= agg["auc_mean"] <= agg["auc_max"]
+
+
+def test_cli_evaluate_and_sweep_with_every_beta_failing(tmp_path):
+    # every beta strips all rows: the run succeeds with no points and lists each failure
+    grid = ["--beta-grid", "1e-7:1e-7:2e-7"]
+    assert _simulate(tmp_path, seed=1, t=40) == 0
+    assert run_cli(["evaluate", "--data", str(tmp_path / "data.csv"),
+                    "--labels", str(tmp_path / "labels.csv"), *grid,
+                    "--out", str(tmp_path / "e")]) == 0
+    assert run_cli(["sweep", "--dist", "stdnormal", "--n", "3", "--t", "40", "--seed", "1",
+                    "--n-seeds", "1", *grid, "--out", str(tmp_path / "s")]) == 0
+    for summary in (tmp_path / "e" / "summary.json", tmp_path / "s" / "summary_seed1.json"):
+        summary = json.loads(summary.read_text(encoding="utf-8"))
+        assert summary["n_points"] == 0
+        assert [f["beta"] for f in summary["failures"]] == [1e-7, 2e-7]
+        assert summary["auc"] == 0.5 and summary["beta_star"] is None
+    sweep = json.loads((tmp_path / "s" / "sweep.json").read_text(encoding="utf-8"))
+    assert sweep["per_seed"] == [{"seed": 1, "auc": 0.5, "bcv": 0.0, "beta_star": None}]

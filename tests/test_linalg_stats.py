@@ -164,7 +164,7 @@ def test_squared_moments_match_power_formulas():
 
 
 def test_moments_equal_the_np_mean_formulas_bit_for_bit():
-    # the means skip np.mean's wrappers but not its arithmetic
+    # the moments are np.mean's, so the formulas written with it give the same bits
     rng = np.random.default_rng(29)
     for size in range(2, 601):
         z = rng.standard_t(4, size=size) * rng.uniform(0.1, 10.0) + rng.uniform(-5.0, 5.0)

@@ -24,12 +24,12 @@ host, where other load moves one process and not the other. Each round runs
 one job per side, alternating which side goes first, and reads
 `time.process_time` around it. The output gives each side's median and
 quartiles, and the median and quartiles of the per-round ratios B / A. It
-also says whether the two sides' outputs (flags, or ROC points and failures)
-were equal in every round. After the timed rounds, each side runs the job
-PEAK_RUNS more times under `tracemalloc`, and the output gives the median
-peak of traced memory per job beside the CPU seconds. Tracing slows every
-allocation, so no timed run is traced. The last line applies the gain rule
-to B's CPU seconds: B must be lower in at least nine tenths of the rounds,
+also says whether the two sides' outputs (flags and q-score bytes, or ROC
+points and failures) were equal in every round. After the timed rounds, each
+side runs the job PEAK_RUNS more times under `tracemalloc`, and the output
+gives the median peak of traced memory per job beside the CPU seconds.
+Tracing slows every allocation, so no timed run is traced. The last line
+applies the gain rule to B's CPU seconds: B must be lower in at least nine tenths of the rounds,
 and its median lower than A's by more than A's interquartile distance.
 """
 
@@ -69,7 +69,8 @@ def detect_large(pkg, seed: int):
     config = pkg.DetectorConfig(beta=3.25)
 
     def job():
-        return [np.packbits(pkg.detect(ds.data, config).outlier_flags).tobytes() for ds in draws]
+        reports = [pkg.detect(ds.data, config) for ds in draws]
+        return [(np.packbits(r.outlier_flags).tobytes(), r.q_scores.tobytes()) for r in reports]
 
     return job
 
