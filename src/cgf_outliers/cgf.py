@@ -37,9 +37,21 @@ Math. Programming 39, 1987). A start stops at ||Psi(theta) - theta|| <=
 after 10,000 updates, and the multistart runs in float64. A converged start
 returns theta with the G its kernel call computed, not the unevaluated Psi.
 
-Psi never lowers G: G is convex, so for unit theta (Cauchy-Schwarz)
+Psi converges only linearly, and near a flat maximum a start can crawl at a
+fixed ratio for a hundred updates. So a start whose step d = Psi(theta) -
+theta runs within cosine 0.99 of its previous plain step d_ and is shorter,
+rho = ||d|| / ||d_|| < 1, jumps to normalize(theta + d / (1 - rho)), the end
+of that geometric series of steps (Aitken's delta-squared, Proc. R. Soc.
+Edinburgh 46, 1926), keeping Psi(theta) as its fallback. The next kernel
+call evaluates G at the jump anyway: if G fell below G(theta) the start
+moves to the fallback instead, and the step after a jump or a fallback is
+always plain, since the ratio needs two plain steps.
+
+G never falls along the points a start keeps. Psi never lowers G: G is
+convex, so for unit theta (Cauchy-Schwarz)
 G(Psi) >= G(theta) + grad G . (Psi - theta)
-        = G(theta) + ||grad G|| - grad G . theta >= G(theta).
+        = G(theta) + ||grad G|| - grad G . theta >= G(theta),
+and the guard keeps a jump only if its G is at least G(theta).
 
 The refine, which the detector no longer calls, is the same ascent from one
 given start.
@@ -80,6 +92,7 @@ _MAX_ITERS = 10_000  # updates per ascent start
 _DEDUP_COS = 0.995  # |cosine| above which a lower-valued maximum is a duplicate
 _BLOCK = 64  # starts per kernel call in the multistart: a 64 x T buffer
 _MERGE_COS = 1.0 - 1e-4  # signed cosine at which a multistart start has joined another's ascent
+_AITKEN_COS = 0.99  # cosine between consecutive Psi steps above which a start extrapolates
 
 
 class ConvergenceError(RuntimeError):
@@ -134,14 +147,16 @@ class MaximizerResult:
     directions[k] is a unit row vector, the last point its start evaluated,
     whose angle to grad G has sine at most _TOLERANCE (module docstring);
     cgf_values[k] is the G of that last checked update, from the same kernel
-    call. total_iterations sums updates over every start, kept, dropped by
-    the dedup or merged; ascent_violations counts updates whose CGF fell
-    beyond slack, relative 1e-12 (_ASCENT_SLACK), which Psi rules out in
-    exact arithmetic, so a nonzero count flags round-off or a broken kernel;
-    the last update of a merged or unconverged start is never evaluated, so
-    not checked. Of the min(n_starts, nonzero rows) starts, starts_converged
-    converged, starts_merged were retired on joining another start's ascent
-    (maximize_cgf), and the rest hit _MAX_ITERS.
+    call. total_iterations sums updates, one kernel evaluation each, over
+    every start, kept, dropped by the dedup or merged, and counts the
+    evaluation of a rejected jump too; ascent_violations counts kept updates
+    whose CGF fell beyond slack, relative 1e-12 (_ASCENT_SLACK), which Psi
+    and the jump's guard rule out in exact arithmetic, so a nonzero count
+    flags round-off or a broken kernel. A rejected jump is not kept, so never
+    counts, and the last update of a merged or unconverged start is never
+    evaluated, so not checked. Of the min(n_starts, nonzero rows) starts,
+    starts_converged converged, starts_merged were retired on joining another
+    start's ascent (maximize_cgf), and the rest hit _MAX_ITERS.
     """
 
     directions: np.ndarray
@@ -338,15 +353,20 @@ def _ascend(
     a start that is never merged evaluates as it would alone. A start
     converges once Psi would move it at most _TOLERANCE, and keeps the point
     just evaluated with that kernel call's G. G is NaN at the other starts,
-    which end at their unevaluated last update; one still active after
+    which end at their unevaluated last Psi update; one still active after
     _MAX_ITERS updates is neither converged nor merged. After each iteration
     an active start is merged (retired, neither converged nor active) when
     its signed cosine with a converged start, or with an active start of
     lower index, is at least _MERGE_COS: it has joined that start's ascent.
     Total updates, one kernel evaluation each, include merged starts'.
 
-    An update whose G falls below the previous update's G by more than
-    _ASCENT_SLACK, relative, counts as a violation.
+    A start whose Psi step runs within cosine _AITKEN_COS of its previous
+    plain step, and is shorter, jumps instead (module docstring). A jump
+    whose G turns out below the G of the point it left is rejected: the start
+    moves to that point's Psi update, and the rejected evaluation counts as
+    an update but is not kept. A kept update whose G falls below the
+    previous kept G by more than _ASCENT_SLACK, relative, counts as a
+    violation.
     """
     Xt = np.ascontiguousarray(X.T)
     thetas = np.array(starts, dtype=float)
@@ -354,6 +374,9 @@ def _ascend(
     converged = np.zeros(n_starts, dtype=bool)
     active = np.ones(n_starts, dtype=bool)
     last_g = np.full(n_starts, np.nan)
+    last_step = np.full_like(thetas, np.nan)  # Psi(p) - p at each start's last kept p, or NaN
+    jumped = np.zeros(n_starts, dtype=bool)  # thetas holds an unchecked jump, fallback its Psi(p)
+    fallback = np.empty_like(thetas)
     total = violations = 0
     buf = np.empty((min(_BLOCK, n_starts), T))
 
@@ -368,16 +391,34 @@ def _ascend(
             w = buf[: idx.size]
             g_here, _ = _exp_shifted(Xt, r, cur, w)
 
-            prev = last_g[idx]
+            prev, was_jump = last_g[idx], jumped[idx]
+            back = was_jump & (g_here < prev)  # a jump that lowered G: take its fallback instead
             slack = _ASCENT_SLACK * np.maximum(1.0, np.abs(prev))
-            violations += int(np.sum(g_here < prev - slack))  # NaN compares False
-            last_g[idx] = g_here
+            violations += int(np.sum((g_here < prev - slack) & ~back))  # NaN compares False
+            last_g[idx] = np.where(back, prev, g_here)
 
             # normalize(X^T w) = grad G / ||grad G||; a row whose sum is exactly zero stays put
             new = (Xt @ w.T).T
             norms = np.linalg.norm(new, axis=1, keepdims=True)
             new = np.where(norms == 0.0, cur, new / np.where(norms == 0.0, 1.0, norms))
-            done = np.linalg.norm(new - cur, axis=1) <= _TOLERANCE
+            step = new - cur
+            size = np.linalg.norm(step, axis=1)
+            done = (size <= _TOLERANCE) & ~back
+
+            # Aitken's delta-squared: a step parallel to the last plain one and shorter by the
+            # ratio rho jumps to the limit of the geometric series, cur + step / (1 - rho)
+            d_prev = last_step[idx]
+            size_prev = np.linalg.norm(d_prev, axis=1)  # NaN: no plain step to compare with
+            jump = ~(was_jump | done) & (size < size_prev)
+            jump &= np.einsum("ij,ij->i", step, d_prev) >= _AITKEN_COS * size * size_prev
+            j = np.flatnonzero(jump)
+            fallback[idx[j]] = new[j]
+            far = cur[j] + step[j] * (size_prev[j] / (size_prev[j] - size[j]))[:, None]
+            new[j] = far / np.linalg.norm(far, axis=1, keepdims=True)
+            new[back] = fallback[idx[back]]
+            last_step[idx] = np.where(back[:, None], np.nan, step)  # no jump from a fallback
+            jumped[idx] = jump
+
             thetas[idx[~done]] = new[~done]  # a converged start keeps the point G was taken at
             converged[idx[done]] = True
             active[idx[done]] = False
@@ -390,6 +431,7 @@ def _ascend(
             near = (thetas[idx] @ anchors >= _MERGE_COS) & (ahead | (pool < idx[:, None]))
             active[idx[near.any(axis=1)]] = False
 
+    thetas[jumped] = fallback[jumped]  # a start that stopped on an unchecked jump ends at its Psi
     g_final = np.where(converged, last_g, np.nan)  # G at each converged start's last point
     return thetas, g_final, converged, ~(converged | active), total, violations
 
@@ -398,19 +440,19 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
     """Multistart projected ascent of the sample CGF over the unit sphere.
 
     The starts are the config.n_starts largest nonzero rows, normalized, or
-    all of them when there are fewer (module docstring). Each follows Psi
-    until Psi would move it at most _TOLERANCE (1e-7), where it stays, or
-    until it has made _MAX_ITERS (10,000) updates, or until it merges: within
-    signed cosine _MERGE_COS (1 - 1e-4) of a converged start or an active
-    start of lower index, it stops and counts as neither converged nor a
-    candidate, though its updates count in total_iterations. The signed test
-    keeps +-theta (different CGF values) apart, and no merge joins directions
-    the dedup would keep. Converged points are ranked by CGF value and
-    near-duplicates (|cosine| above _DEDUP_COS (0.995) with an already-kept,
-    higher-valued direction) are discarded; for symmetric data the +-theta
-    pair collapses to one representative. ``data`` is T x n in any memory
-    layout; the result does not depend on the layout, nor the starts on the
-    row order.
+    all of them when there are fewer (module docstring). Each follows Psi,
+    with its guarded jumps, until Psi would move it at most _TOLERANCE
+    (1e-7), where it stays, or until it has made _MAX_ITERS (10,000)
+    updates, or until it merges: within signed cosine _MERGE_COS (1 - 1e-4)
+    of a converged start or an active start of lower index, it stops and
+    counts as neither converged nor a candidate, though its updates count in
+    total_iterations. The signed test keeps +-theta (different CGF values)
+    apart, and no merge joins directions the dedup would keep. Converged
+    points are ranked by CGF value and near-duplicates (|cosine| above
+    _DEDUP_COS (0.995) with an already-kept, higher-valued direction) are
+    discarded; for symmetric data the +-theta pair collapses to one
+    representative. ``data`` is T x n in any memory layout; the result does
+    not depend on the layout, nor the starts on the row order.
 
     Raises ValueError when the data are not 2-D or not finite, or every row
     is zero, and ConvergenceError (with partial results for every start)
@@ -443,9 +485,10 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
 def refine_direction(values, r: float, theta) -> tuple[np.ndarray, int, bool]:
     """The ascent of maximize_cgf from the one start theta; the detector no longer calls it.
 
-    It follows Psi with the same stop rule, _TOLERANCE (1e-7), and cap,
-    _MAX_ITERS (10,000) updates, and returns (direction, updates, converged):
-    the point the stop rule measured if converged, else the last update.
+    It follows Psi and its guarded jumps with the same stop rule, _TOLERANCE
+    (1e-7), and cap, _MAX_ITERS (10,000) updates, and returns (direction,
+    updates, converged): the point the stop rule measured if converged, else
+    the last Psi update.
     ``values`` are T x n rows, a DataMatrix or an array of any memory layout.
     """
     X, th = _values_theta(values, theta)

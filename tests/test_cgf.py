@@ -349,6 +349,26 @@ def test_psi_never_lowers_the_cgf(heavy, T, n, r, seed):
     assert cgf_estimate(data, r, psi) >= g - 1e-12 * max(1.0, abs(g))
 
 
+@settings(max_examples=100, deadline=None)
+@given(heavy=st.booleans(), T=st.integers(2, 200), n=st.integers(1, 8),
+       r=st.sampled_from([0.1, 0.5, 1.5, 4.0]), seed=st.integers(0, 2**32 - 1))
+def test_the_guarded_ascent_never_lowers_the_cgf(heavy, T, n, r, seed):
+    # a jump that lowers G is thrown out for its Psi step (module docstring), so no
+    # kept point falls below its start's G and a rejected jump is no violation
+    rng = np.random.default_rng(seed)
+    if heavy:
+        X = rng.standard_t(2.0, size=(T, n))
+    else:
+        X = rng.exponential(size=(T, n)) * rng.uniform(0.2, 2.0, n)
+    config = MultistartConfig(n_starts=16)
+    assert maximize_cgf(DataMatrix(X), r, config).ascent_violations == 0
+    starts = _starts(X, config)
+    _, values, converged, _, _, violations = _ascend(X, r, starts)
+    assert violations == 0
+    at_start = _batch_cgf(X, r, starts)[converged]
+    assert np.all(values[converged] >= at_start - 1e-12 * np.maximum(1.0, np.abs(at_start)))
+
+
 def test_multistart_config_validation():
     with pytest.raises(ValueError):
         MultistartConfig(n_starts=0)
@@ -614,21 +634,72 @@ def test_merged_multistart_matches_solo_runs():
         np.testing.assert_allclose(result.cgf_values, values, rtol=0, atol=1e-10)
 
 
-def test_candidates_carry_the_certificate_of_the_stop_rule():
+def _assert_certified(data: DataMatrix, r: float) -> None:
     # a candidate is the point the stop rule measured: ||Psi(theta) - theta|| <= _TOLERANCE
     # bounds the sine of its angle to grad G there, and its value is G at that same point
+    result = maximize_cgf(data, r, MultistartConfig())
+    assert len(result) >= 1
+    for theta, value in zip(result.directions, result.cgf_values):
+        grad = cgf_gradient(data, r, theta)
+        sine = np.linalg.norm(grad - (grad @ theta) * theta) / np.linalg.norm(grad)
+        assert grad @ theta > 0.0
+        assert sine <= cgf_module._TOLERANCE * (1 + 1e-6)  # 1e-6: the gradient's rounding
+        np.testing.assert_allclose(value, cgf_estimate(data, r, theta), rtol=1e-12, atol=0)
+
+
+def test_candidates_carry_the_certificate_of_the_stop_rule():
     heavy = center(DataMatrix(np.random.default_rng(5).standard_t(2.0, size=(600, 4))))
     cases = [(_skewed_data(seed), 1.2) for seed in range(3)]
     cases += [(heavy, 0.7), _experiment_data("normal", 7, T=10_000)]
     for data, r in cases:
-        result = maximize_cgf(data, r, MultistartConfig())
-        assert len(result) >= 1
-        for theta, value in zip(result.directions, result.cgf_values):
-            grad = cgf_gradient(data, r, theta)
-            sine = np.linalg.norm(grad - (grad @ theta) * theta) / np.linalg.norm(grad)
-            assert grad @ theta > 0.0
-            assert sine <= cgf_module._TOLERANCE * (1 + 1e-6)  # 1e-6: the gradient's rounding
-            np.testing.assert_allclose(value, cgf_estimate(data, r, theta), rtol=1e-12, atol=0)
+        _assert_certified(data, r)
+
+
+def test_a_crawling_start_extrapolates_to_its_maximum(monkeypatch):
+    # from start 43 of this draw Psi contracts by about 0.92 a step, so the plain
+    # ascent stops about 1e-7 / (1 - 0.92) short of the maximum, and Aitken's jump
+    # reaches the stop rule in a few updates, nearer the maximum
+    data, r = _experiment_data("normal", 13, T=10_000)
+    X = data.values
+    start = _starts(X, MultistartConfig())[43]
+    theta, used, converged = refine_direction(X, r, start)
+    with monkeypatch.context() as m:
+        m.setattr(cgf_module, "_AITKEN_COS", 2.0)  # no cosine passes: the plain Psi ascent
+        plain, plain_used, plain_converged = refine_direction(X, r, start)
+    assert converged and plain_converged
+    assert plain_used >= 90 and 4 * used <= plain_used
+    _assert_certified(data, r)
+
+    polished = plain
+    for _ in range(400):  # plain Psi to its fixed point in floating point
+        polished = unit_vector(cgf_gradient(X, r, polished))
+    tol = 10 * cgf_module._TOLERANCE
+    assert np.linalg.norm(theta - polished) <= tol < np.linalg.norm(plain - polished)
+
+
+def test_a_rejected_jump_takes_its_psi_step_and_is_no_violation(monkeypatch):
+    # start 36 of this sample jumps once to a point of lower G: the next kernel call
+    # evaluates Psi of the point it jumped from, and no violation is counted
+    X = _skewed_data(1).values
+    start = _starts(X, MultistartConfig())[36]
+    seen = []
+    kernel = cgf_module._exp_shifted
+
+    def recorded(Xt, r, thetas, out):
+        g, wsum = kernel(Xt, r, thetas, out)
+        seen.append((thetas[0].copy(), float(g[0])))
+        return g, wsum
+
+    monkeypatch.setattr(cgf_module, "_exp_shifted", recorded)
+    _, _, converged, _, total, violations = _ascend(X, 1.2, start[None, :])
+    assert converged[0] and violations == 0 and total == len(seen)
+    g = [value for _, value in seen]
+    drops = [k for k in range(1, len(g)) if g[k] < max(g[:k])]
+    assert drops
+    for k in drops:
+        psi = unit_vector(cgf_gradient(X, 1.2, seen[k - 1][0]))
+        np.testing.assert_allclose(seen[k + 1][0], psi, rtol=0, atol=1e-12)
+        assert g[k + 1] >= g[k - 1]
 
 
 def test_start_counts_partition_the_starts(monkeypatch):

@@ -28,7 +28,12 @@ also says whether the two sides' outputs (flags and q-score bytes, or ROC
 points and failures) were equal in every round. After the timed rounds, each
 side runs the job PEAK_RUNS more times under `tracemalloc`, and the output
 gives the median peak of traced memory per job beside the CPU seconds.
-Tracing slows every allocation, so no timed run is traced. The last line
+Tracing slows every allocation, so no timed run is traced. Once more
+untimed, each side runs the job with the package's CGF kernel
+(`cgf._exp_shifted`) wrapped, and the output gives its calls per job and the
+directions they evaluated. Only the ascent calls the kernel in these jobs, so
+these are the multistart's kernel calls and updates: counters that do not
+depend on the machine or its load. The last line
 applies the gain rule to B's CPU seconds: B must be lower in at least nine tenths of the rounds,
 and its median lower than A's by more than A's interquartile distance.
 """
@@ -122,6 +127,23 @@ def traced_peak_mb(job) -> float:
         tracemalloc.stop()
 
 
+def kernel_counts(pkg, job) -> tuple[int, int]:
+    """Calls of PKG's CGF kernel in one run of JOB, and the directions they evaluated."""
+    kernel, counts = pkg.cgf._exp_shifted, [0, 0]
+
+    def counted(Xt, r, thetas, out):
+        counts[0] += 1
+        counts[1] += thetas.shape[0]
+        return kernel(Xt, r, thetas, out)
+
+    pkg.cgf._exp_shifted = counted
+    try:
+        job()
+    finally:
+        pkg.cgf._exp_shifted = kernel
+    return counts[0], counts[1]
+
+
 WORKLOADS = {"detect-large": detect_large, "pca-sweep": pca_sweep, "maxcgf-sweep": maxcgf_sweep}
 
 
@@ -139,8 +161,9 @@ def main(argv: list[str]) -> int:
     if rounds < 2:
         sys.stderr.write("ROUNDS must be at least 2\n")
         return 2
-    jobs = [WORKLOADS[workload](load(tree, name), seed)
-            for tree, name in ((tree_a, "cgf_outliers_a"), (tree_b, "cgf_outliers_b"))]
+    pkgs = [load(tree, name) for tree, name in ((tree_a, "cgf_outliers_a"),
+                                                (tree_b, "cgf_outliers_b"))]
+    jobs = [WORKLOADS[workload](pkg, seed) for pkg in pkgs]
     for job in jobs:  # warm-up: imports, lazy set-up and caches, untimed
         job()
 
@@ -155,13 +178,15 @@ def main(argv: list[str]) -> int:
         same = same and outputs[0] == outputs[1]
     ratios = [b / a for a, b in zip(*cpu)]
     peaks = [statistics.median(traced_peak_mb(job) for _ in range(PEAK_RUNS)) for job in jobs]
+    kernels = [kernel_counts(pkg, job) for pkg, job in zip(pkgs, jobs)]
 
     print(f"workload {workload}, seed {seed}, {rounds} rounds, process_time seconds per job")
-    for label, values, peak in (("A", cpu[0], peaks[0]), ("B", cpu[1], peaks[1])):
+    for label, values, peak, (calls, updates) in zip("AB", cpu, peaks, kernels):
         q1, q2, q3 = quartiles(values)
         print(f"{label}: median {q2:.4f}  quartiles {q1:.4f}-{q3:.4f}  "
               f"runs {' '.join(f'{v:.4f}' for v in values)}  "
-              f"tracemalloc peak {peak:.3f} MB (median of {PEAK_RUNS})")
+              f"tracemalloc peak {peak:.3f} MB (median of {PEAK_RUNS})  "
+              f"multistart updates {updates}, kernel calls {calls} per job")
     q1, q2, q3 = quartiles(ratios)
     wins = sum(x < 1.0 for x in ratios)
     print(f"B/A: median {q2:.4f}  quartiles {q1:.4f}-{q3:.4f}  B lower in {wins} of {rounds}")
