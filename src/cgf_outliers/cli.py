@@ -137,7 +137,8 @@ def _build_parser() -> _Parser:
                    metavar="LO:STEP:HI")
     _add_detector_args(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--timings", action="store_true", help="include wall-clock times in summary.json")
+    p.add_argument("--timings", action="store_true",
+                   help="write the fit's and the removal loops' seconds into summary.json")
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -148,7 +149,8 @@ def _build_parser() -> _Parser:
     _add_detector_args(p)
     p.add_argument("--seed", type=int, default=0, help="base seed; run i uses seed+i")
     p.add_argument("--n-seeds", type=int, default=5)
-    p.add_argument("--timings", action="store_true")
+    p.add_argument("--timings", action="store_true",
+                   help="write each seed's fit and removal seconds into its summary json")
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_sweep)
 
@@ -293,7 +295,7 @@ def _evaluate_into(args, suffix: str, seed: int, dataset: LabeledDataset,
         "failures": [{"beta": b, "message": m} for b, m in curve.failures],
     }
     if args.timings:
-        summary["timings"] = [{"beta": b, "seconds": s} for b, s in curve.timings]
+        summary["timings"] = {f"{stage}_s": s for stage, s in curve.timings}
     write_json(os.path.join(out, f"summary{suffix}.json"), summary)
     return curve
 

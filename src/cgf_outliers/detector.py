@@ -52,16 +52,17 @@ which all rows share, and a pca row's later passes project its re-estimate.
 The pca states are arrays with one row per beta; a step downdates all its
 re-estimated rows at once (`_downdate`), and their PC1s come from one stacked
 solve by repeated squaring with a certificate (`_pc1`), or from `eigh` where
-it does not certify. A row's sums run along that row alone, its median and MAD
-are exact order statistics, and the downdate and the solve act on each row
-alone, so a beta's report is the same bits whichever betas share its steps.
+it does not certify. The kurtosis, medians and MADs are `linalg_stats`' row
+kernels, the package's one implementation of them. A row's sums run along that
+row alone, its median and MAD are exact order statistics, and the downdate and
+the solve act on each row alone, so a beta's report is the same bits whichever
+betas share its steps.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +78,8 @@ from .linalg_stats import (
     DataMatrix,
     DegenerateInputError,
     _readonly,
+    _row_medians,
+    _row_moments,
     center,
     covariance_pca,
     kurtosis,  # noqa: F401 -- perfbench/tracer.py wraps this binding
@@ -384,39 +387,7 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
                           tuple(warnings))
 
 
-def _row_moments(Z: np.ndarray, alive: np.ndarray, count: np.ndarray):
-    """Per row of Z, the survivors' second moment m2 and kurtosis m4 / m2**2.
-
-    Entries outside `alive` count as zeros, and every sum runs along its row's
-    contiguous axis, so a row's bits do not depend on the other rows.
-    """
-    dev = Z * alive
-    dev -= (np.add.reduce(dev, axis=1) / count)[:, None]
-    dev *= alive
-    sq = dev * dev
-    m2 = np.add.reduce(sq, axis=1) / count
-    sq *= sq
-    with np.errstate(divide="ignore", invalid="ignore"):  # m2 == 0 ends the direction
-        return m2, np.add.reduce(sq, axis=1) / count / (m2 * m2)
-
-
-def _row_medians(V: np.ndarray, alive: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Per row of V, the median of its entries where `alive` holds.
-
-    One sort of every row, with the other entries at +inf, gives each row's
-    exact order statistics, and np.median's arithmetic takes the median from
-    them. It beat a partition of each row's compact survivors at one row and
-    T=10,000 as well as on 39-beta sweeps.
-    """
-    W = np.where(alive, V, np.inf)
-    W.sort(axis=1)
-    rows = np.arange(len(W))
-    lo, hi = W[rows, (count - 1) // 2], W[rows, count // 2]
-    return np.where(count % 2 == 1, hi, (lo + hi) / 2.0)
-
-
-def remove_many(fitted: FittedDetector,
-                betas) -> list[tuple[DetectionReport | DetectionError, float]]:
+def remove_many(fitted: FittedDetector, betas) -> list[DetectionReport | DetectionError]:
     """Run the removal loops of several betas on one fit, as rows of one array program.
 
     Row b is beta b's loop: a survivor mask and a score per row of the data.
@@ -425,8 +396,7 @@ def remove_many(fitted: FittedDetector,
     of every row still on k: it tests all their kurtosis together, then takes
     the medians, MADs and q-scores of the rows that pass, and their PCA
     re-estimates share one PC1 solve. Returns, per beta in order, its report
-    or the DetectionError its loop met, and its seconds: each step's wall
-    clock is split equally among the rows it advanced.
+    or the DetectionError its loop met.
     """
     betas = list(betas)
     if not all(0 < beta < math.inf for beta in betas):
@@ -444,10 +414,8 @@ def remove_many(fitted: FittedDetector,
     traces: list[list[DirectionTrace]] = [[] for _ in betas]
     warnings = [list(fitted.warnings) for _ in betas]
     errors: list[DetectionError | None] = [None] * nb
-    seconds = [0.0] * nb
     running = list(range(nb))  # the rows that have not failed or run out of rows
 
-    start = time.perf_counter()
     for k, (theta0, cgf_value) in enumerate(candidates):
         for b in running:
             if count[b] < 3:
@@ -481,7 +449,7 @@ def remove_many(fitted: FittedDetector,
                     continue  # kurtosis stopped falling: this direction is exhausted
                 scored.append(i)
 
-            stepped, rows = rows, rows[scored]
+            rows = rows[scored]
             if rows.size:
                 Z, mask, m = Z[scored], mask[scored], m[scored]
                 Z -= _row_medians(Z, mask, m)[:, None]
@@ -523,12 +491,7 @@ def remove_many(fitted: FittedDetector,
                         traces[b][-1].final_direction = direction
                     Z = np.matmul(directions[:, None, :], Y.T)[:, 0]  # the same bits for any stack
 
-            now = time.perf_counter()
-            for b in stepped.tolist():
-                seconds[b] += (now - start) / len(stepped)
-            start = now
-
-    return [(errors[b] or DetectionReport(
+    return [errors[b] or DetectionReport(
         outlier_flags=scores[b] > betas[b],
         q_scores=scores[b].copy(),
         directions_used=traces[b],
@@ -537,12 +500,12 @@ def remove_many(fitted: FittedDetector,
         beta=betas[b],
         method=fitted.method,
         warnings=warnings[b],
-    ), seconds[b]) for b in range(nb)]
+    ) for b in range(nb)]
 
 
 def remove(fitted: FittedDetector, beta: float) -> DetectionReport:
     """Run the removal loop at threshold beta: `remove_many` with that one beta."""
-    [(result, _)] = remove_many(fitted, [beta])
+    [result] = remove_many(fitted, [beta])
     if isinstance(result, DetectionError):
         raise result
     return result

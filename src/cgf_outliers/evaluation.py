@@ -9,6 +9,7 @@ are sorted by FPR and integrated by the trapezoid rule between the (0,0) and
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,12 +46,9 @@ class RocCurve:
     bcv is the largest Youden's J over the curve, where the implicit (0,0)
     and (1,1) anchors contribute J = 0; beta_star is the smallest beta
     attaining it (NaN when only an anchor does). failures lists (beta,
-    message) for grid points whose removal loop errored; timings lists one
-    (beta, seconds) pair per completed beta. `remove_many` takes the
-    candidate directions in turn, advances every beta still on the current
-    one by one pass per step, and splits each step's wall clock equally among
-    the betas it advanced, so a beta's seconds are its share of the steps it
-    took part in. They exclude the fit the betas share.
+    message) for grid points whose removal loop errored; timings holds the
+    wall-clock seconds of the sweep's two stages, (("fit", s), ("remove", s)):
+    the one fit the betas share, and `remove_many`'s removal loops of them all.
     """
 
     points: tuple[RocPoint, ...]
@@ -58,7 +56,7 @@ class RocCurve:
     bcv: float
     beta_star: float
     failures: tuple[tuple[float, str], ...] = ()
-    timings: tuple[tuple[float, float], ...] = ()
+    timings: tuple[tuple[str, float], ...] = ()
 
 
 def confusion_rates(flags, truth) -> tuple[float, float]:
@@ -94,7 +92,7 @@ def _rates(flags: np.ndarray, truth: np.ndarray) -> tuple[list[float], list[floa
 def assemble_curve(
     entries,
     failures: tuple[tuple[float, str], ...] = (),
-    timings: tuple[tuple[float, float], ...] = (),
+    timings: tuple[tuple[str, float], ...] = (),
 ) -> RocCurve:
     """Build a RocCurve from (beta, fpr, tpr) triples.
 
@@ -161,20 +159,18 @@ def roc_sweep(
     if any(b2 <= b1 for b1, b2 in zip(grid, grid[1:])):
         raise ValueError("beta_grid must be strictly ascending")
 
-    failures: list[tuple[float, str]] = []
-    timings: list[tuple[float, float]] = []
-    flags = []
-
+    start = time.perf_counter()
     fitted = fit(dataset.data, replace(base_config, method=method))
-    for beta, (result, seconds) in zip(grid, remove_many(fitted, grid)):
-        if isinstance(result, DetectionError):
-            failures.append((beta, str(result)))
-            continue
-        flags.append(result.outlier_flags)
-        timings.append((beta, seconds))
-    # bool and (0, T) when every beta failed: _rates takes & of the stack
-    stack = np.array(flags, dtype=bool).reshape(len(flags), dataset.data.n_obs)
-    tpr, fpr = _rates(stack, dataset.truth)
-    entries = [(beta, f, t) for (beta, _), f, t in zip(timings, fpr, tpr)]
+    fitted_at = time.perf_counter()
+    results = remove_many(fitted, grid)
+    timings = (("fit", fitted_at - start), ("remove", time.perf_counter() - fitted_at))
 
-    return assemble_curve(entries, tuple(failures), tuple(timings))
+    failures = [(beta, str(r)) for beta, r in zip(grid, results) if isinstance(r, DetectionError)]
+    done = [(beta, r) for beta, r in zip(grid, results) if not isinstance(r, DetectionError)]
+    # bool and (0, T) when every beta failed: _rates takes & of the stack
+    stack = np.array([r.outlier_flags for _, r in done], dtype=bool).reshape(
+        len(done), dataset.data.n_obs)
+    tpr, fpr = _rates(stack, dataset.truth)
+    entries = [(beta, f, t) for (beta, _), f, t in zip(done, fpr, tpr)]
+
+    return assemble_curve(entries, tuple(failures), timings)

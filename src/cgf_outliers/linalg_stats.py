@@ -8,6 +8,10 @@ Conventions used throughout the package:
   statistics;
 * the MAD is the raw median absolute deviation (no normal-consistency factor);
 * kurtosis is the population (biased, non-excess) estimator m4 / m2**2.
+
+The median, MAD and kurtosis are implemented once, by the row kernels that the
+detector's removal loop runs on many masked rows; `median_and_mad` and
+`kurtosis` are their one-row case.
 """
 
 from __future__ import annotations
@@ -132,29 +136,59 @@ def _as_vector(z) -> np.ndarray:
     return arr
 
 
+def _row_moments(Z: np.ndarray, alive, count):
+    """Per row of Z, the survivors' second moment m2 and kurtosis m4 / m2**2.
+
+    alive masks Z's entries and count is each row's number of survivors; both
+    broadcast against the rows, so True and Z's width make every entry alive.
+    Entries outside `alive` count as zeros, and every sum runs along its row's
+    contiguous axis, so a row's bits do not depend on the other rows.
+    """
+    dev = Z * alive
+    dev -= (np.add.reduce(dev, axis=1) / count)[:, None]
+    dev *= alive
+    sq = dev * dev
+    m2 = np.add.reduce(sq, axis=1) / count
+    sq *= sq
+    with np.errstate(divide="ignore", invalid="ignore"):  # the caller handles m2 == 0
+        return m2, np.add.reduce(sq, axis=1) / count / (m2 * m2)
+
+
+def _row_medians(V: np.ndarray, alive, count) -> np.ndarray:
+    """Per row of V, the median of its entries where `alive` holds.
+
+    One sort of every row, with the other entries at +inf, gives each row's
+    exact order statistics; np.median's arithmetic, adding 0.0 as its sum does,
+    takes the median from them. It beat a partition of each row's compact
+    survivors at one row and T=10,000 as well as on 39-beta sweeps.
+    """
+    W = np.where(alive, V, np.inf)
+    W.sort(axis=1)
+    rows = np.arange(len(W))
+    lo, hi = W[rows, (count - 1) // 2], W[rows, count // 2]
+    return np.where(count % 2 == 1, hi, (lo + hi) / 2.0) + 0.0
+
+
 def median_and_mad(z) -> tuple[float, float]:
     """Median and raw median absolute deviation of a vector.
 
     No consistency factor is applied to the MAD; a constant vector yields
     mad = 0 and the caller must handle that case.
     """
-    arr = _as_vector(z)
-    med = float(np.median(arr))
-    return med, float(np.median(np.abs(arr - med)))
+    row = _as_vector(z)[None]  # the row kernels' one-row case, every entry alive
+    med = _row_medians(row, True, row.size)
+    return float(med[0]), float(_row_medians(np.abs(row - med), True, row.size)[0])
 
 
 def kurtosis(z) -> float:
     """Population non-excess kurtosis m4 / m2**2 (about 3 for a normal sample)."""
-    arr = _as_vector(z)
-    if arr.size < 2:
+    row = _as_vector(z)[None]  # the row kernels' one-row case, every entry alive
+    if row.size < 2:
         raise ValueError("kurtosis needs at least 2 observations")
-    dev = arr - arr.mean()
-    sq = dev * dev
-    m2 = float(sq.mean())
+    [m2], [kur] = _row_moments(row, True, row.size)
     if m2 == 0.0:
         raise DegenerateInputError("kurtosis undefined for zero-variance input")
-    m4 = float((sq * sq).mean())
-    return m4 / (m2 * m2)
+    return float(kur)
 
 
 def first_four_cumulants(z) -> tuple[float, float, float, float]:

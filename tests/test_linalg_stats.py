@@ -15,6 +15,7 @@ from cgf_outliers import (
     kurtosis,
     median_and_mad,
 )
+from cgf_outliers.linalg_stats import _row_medians, _row_moments
 
 
 def test_data_matrix_basic():
@@ -127,7 +128,7 @@ def test_median_even_length_mean_of_middle_two():
 
 
 _VALUES = st.floats(min_value=-1e12, max_value=1e12, allow_nan=False)
-_TIED = st.sampled_from([-2.5, -1.0, 0.0, 0.0, 1.0, 3.0])  # few distinct values: many ties
+_TIED = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 1.0, 3.0])  # few distinct values: many ties
 
 
 @settings(max_examples=300, deadline=None)
@@ -136,6 +137,7 @@ _TIED = st.sampled_from([-2.5, -1.0, 0.0, 0.0, 1.0, 3.0])  # few distinct values
 @example([4.0])
 @example([1.0, -1.0])
 @example([0.0] * 6)
+@example([-0.0, 1.0, -0.0])
 def test_median_and_mad_equal_np_median_bit_for_bit(values):
     z = np.array(values)
     before = z.copy()
@@ -144,6 +146,7 @@ def test_median_and_mad_equal_np_median_bit_for_bit(values):
     assert np.array_equal(z, before)  # the input is not partitioned in place
     assert med == want_med
     assert mad == float(np.median(np.abs(z - want_med)))
+    assert np.signbit(med) == np.signbit(want_med)  # a zero median is +0.0 as np.median's
     assert isinstance(med, float) and isinstance(mad, float)
 
 
@@ -173,6 +176,30 @@ def test_moments_equal_the_np_mean_formulas_bit_for_bit():
         m2, m3, m4 = float(np.mean(sq)), float(np.mean(sq * dev)), float(np.mean(sq * sq))
         assert kurtosis(z) == m4 / (m2 * m2)
         assert first_four_cumulants(z) == (float(np.mean(z)), m2, m3, m4 - 3.0 * m2 * m2)
+
+
+def test_masked_row_kernels_equal_the_helpers_on_the_compacted_survivors():
+    # the removal loop's case: many rows in one call, each with a partial mask.
+    # The masked sums add zeros inside numpy's pairwise blocks, so the kurtosis
+    # may move in the last bits; a full row's sums are the helper's, and the
+    # medians are exact order statistics either way
+    rng = np.random.default_rng(41)
+    rows = 10
+    for _ in range(30):
+        T = int(rng.integers(4, 3_000))
+        V = rng.standard_t(3, size=(rows, T)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
+        count = rng.integers(3, T + 1, size=rows)  # count == T leaves the row whole
+        alive = rng.random((rows, T)).argsort(axis=1) < count[:, None]
+        med = _row_medians(V, alive, count)
+        mad = _row_medians(np.abs(V - med[:, None]), alive, count)
+        _, kur = _row_moments(V, alive, count)
+        for i in range(rows):
+            survivors = V[i][alive[i]]
+            assert (med[i], mad[i]) == median_and_mad(survivors)
+            want = kurtosis(survivors)
+            if count[i] == T:
+                assert kur[i] == want
+            assert abs(kur[i] - want) <= 1e-14 * want
 
 
 def test_mad_translation_and_scale_equivariance():

@@ -25,9 +25,11 @@ one job per side, alternating which side goes first, and reads
 `time.process_time` around it. The output gives each side's median and
 quartiles, and the median and quartiles of the per-round ratios B / A. It
 also says whether the two sides' outputs (flags and q-score bytes, or ROC
-points and failures) were equal in every round. After the timed rounds, each
-side runs the job PEAK_RUNS more times under `tracemalloc`, and the output
-gives the median peak of traced memory per job beside the CPU seconds.
+points and failures) were equal in every round; for detect-large it says
+apart whether the flags alone were, so a change that keeps every flag but
+moves q-scores shows as such. After the timed rounds, each side runs the job
+PEAK_RUNS more times under `tracemalloc`, and the output gives the median
+peak of traced memory per job beside the CPU seconds.
 Tracing slows every allocation, so no timed run is traced. Once more
 untimed, each side runs the job with the package's CGF kernel
 (`cgf._exp_shifted`) wrapped, and the output gives its calls per job and the
@@ -168,7 +170,7 @@ def main(argv: list[str]) -> int:
         job()
 
     cpu: list[list[float]] = [[], []]
-    same = True
+    same = flags_same = True
     for r in range(rounds):
         outputs = [None, None]
         for side in ((0, 1) if r % 2 == 0 else (1, 0)):
@@ -176,6 +178,8 @@ def main(argv: list[str]) -> int:
             outputs[side] = jobs[side]()
             cpu[side].append(time.process_time() - start)
         same = same and outputs[0] == outputs[1]
+        if workload == "detect-large":  # (packed flags, q-score bytes) per report
+            flags_same = flags_same and [f for f, _ in outputs[0]] == [f for f, _ in outputs[1]]
     ratios = [b / a for a, b in zip(*cpu)]
     peaks = [statistics.median(traced_peak_mb(job) for _ in range(PEAK_RUNS)) for job in jobs]
     kernels = [kernel_counts(pkg, job) for pkg, job in zip(pkgs, jobs)]
@@ -191,6 +195,8 @@ def main(argv: list[str]) -> int:
     wins = sum(x < 1.0 for x in ratios)
     print(f"B/A: median {q2:.4f}  quartiles {q1:.4f}-{q3:.4f}  B lower in {wins} of {rounds}")
     print(f"outputs equal in every round: {'yes' if same else 'no'}")
+    if workload == "detect-large":
+        print(f"flags equal in every round: {'yes' if flags_same else 'no'}")
     a1, a2, a3 = quartiles(cpu[0])
     gap = a2 - statistics.median(cpu[1])
     met = wins >= 0.9 * rounds and gap > a3 - a1
