@@ -10,9 +10,9 @@ overflow. Its gradient in theta is r times the exponentially weighted mean of
 the rows. One kernel serves every evaluation: it reads the data transposed,
 as an n x T C-contiguous array X^T, and writes exp((r * Theta) X^T - rowmax)
 in place into a caller-owned buffer W, from which the weighted row sums are
-X^T W^T. Callers pass T x n rows; a view over an n x T array (as
-`detector.fit` makes) is used without a copy, any other layout is transposed
-once per call.
+X^T W^T. Callers pass T x n rows; a view over an n x T C-contiguous array
+(the layout `linalg_stats.center` returns, which `detector.fit` passes on) is
+used without a copy, any other layout is transposed once per call.
 
 Directions that locally maximize G over the unit sphere are found by the
 generalized power method (Journee, Nesterov, Richtarik & Sepulchre, JMLR 11,
@@ -297,7 +297,7 @@ def _row_starts(Xt: np.ndarray, count: int) -> np.ndarray:
 
     Norm ties are ordered by the rows' values, lexicographically, not by index.
     """
-    norms = np.sqrt((Xt * Xt).sum(axis=0))
+    norms = np.sqrt(np.einsum("ij,ij->j", Xt, Xt))  # no T-sized temporary
     nonzero = np.flatnonzero(norms > 0.0)
     if nonzero.size == 0:
         raise ValueError("data has no nonzero row to start from")

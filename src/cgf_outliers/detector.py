@@ -32,9 +32,10 @@ directions, and every row scored above beta is reported as an outlier of the
 original matrix. `detect` is `remove(fit(data, config), config.beta)`;
 a beta sweep fits once and runs its betas' removal loops on that fit.
 
-The CGF ascent runs on the centered data divided by sqrt(lambda1), at radius
-r * sqrt(lambda1): G and the q-scores are unchanged, and the ascent's path no
-longer depends on the scale of the data.
+The CGF ascent reads the centered rows at radius r. Each of its decisions is
+scale-free: steps are normalized gradients, the stop, merge and jump tests
+compare unit directions, and r * X, hence G, is unchanged by scaling the data,
+since r goes with 1 / sqrt(lambda1).
 
 The pca re-estimate is PC1 of the survivors' centered scatter. The fit
 computes the rows' mean and scatter once, by two passes; each removal loop
@@ -77,6 +78,7 @@ from .cgf import (
 from .linalg_stats import (
     DataMatrix,
     DegenerateInputError,
+    _centered_scatter,
     _readonly,
     _row_medians,
     _row_moments,
@@ -236,18 +238,6 @@ def _fix_sign(v: np.ndarray) -> np.ndarray:
     return np.where(pivot[:, None] < 0, -rows, rows).reshape(v.shape)
 
 
-def _scaled_rows(Y: np.ndarray, scale: float) -> np.ndarray:
-    # Y / scale as a T x n view over an n x T array: the CGF kernel's layout, made once
-    return np.divide(Y.T, scale, order="C").T
-
-
-def _centered_scatter(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # the rows' mean and centered scatter (Y - mean)^T (Y - mean), by two passes
-    mean = Y.mean(axis=0)
-    dev = Y - mean
-    return mean, dev.T @ dev
-
-
 def _downdate(values: np.ndarray, state, rows: np.ndarray, alive: np.ndarray,
               out: np.ndarray) -> np.ndarray:
     """Downdate the pca state of the loops `rows` by the rows their last pass dropped.
@@ -369,8 +359,7 @@ def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
     iterations = 0
     mean = scatter = None
     if config.method is DetectionMethod.MAX_CGF:
-        scale = math.sqrt(lambda1)  # the ascent sees unit-lambda1 data at radius r * scale
-        result = maximize_cgf(_scaled_rows(centered.values, scale), r * scale, config.multistart)
+        result = maximize_cgf(centered.values, r, config.multistart)
         candidates = tuple(
             (result.directions[k], float(result.cgf_values[k])) for k in range(len(result))
         )

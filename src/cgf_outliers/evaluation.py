@@ -130,14 +130,21 @@ def assemble_curve(
     )
 
 
+# A sweep holds a B x T survivor mask and a B x T score array for its B betas,
+# so a grid with more points than this is refused before anything is allocated.
+_MAX_GRID_POINTS = 10_000
+
+
 def default_beta_grid(lo: float = 0.5, step: float = 0.25, hi: float = 10.0) -> np.ndarray:
-    """Equally spaced thresholds lo, lo+step, ..., up to hi inclusive."""
+    """Equally spaced thresholds lo, lo+step, ..., up to hi inclusive, at most 10,000."""
     if not np.all(np.isfinite([lo, step, hi])):
         raise ValueError("lo, step and hi must be finite")
     if not (lo > 0 and step > 0 and hi >= lo):
         raise ValueError("need 0 < lo <= hi and step > 0")
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    count = np.floor((hi - lo) / step + 1e-9) + 1  # inf if the quotient overflows
+    if count > _MAX_GRID_POINTS:
+        raise ValueError(f"the grid has {count:.6g} points, more than {_MAX_GRID_POINTS}")
+    return lo + step * np.arange(int(count))
 
 
 def roc_sweep(

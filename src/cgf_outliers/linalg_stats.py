@@ -11,7 +11,10 @@ Conventions used throughout the package:
 
 The median, MAD and kurtosis are implemented once, by the row kernels that the
 detector's removal loop runs on many masked rows; `median_and_mad` and
-`kurtosis` are their one-row case.
+`kurtosis` are their one-row case. The two-pass mean and centered scatter are
+implemented once as well, by `_centered_scatter`, for `covariance_pca` and the
+detector's PCA state. `center` returns a T x n view of an n x T C-contiguous
+array, the layout that the CGF kernel and the removal loop's projections read.
 """
 
 from __future__ import annotations
@@ -110,8 +113,16 @@ class CovarianceSummary:
 
 
 def center(data: DataMatrix) -> DataMatrix:
-    """Subtract each column's sample mean."""
-    return DataMatrix(data.values - data.values.mean(axis=0), row_labels=data.row_labels)
+    """Subtract each column's sample mean; the values view an n x T C-contiguous array."""
+    mean = data.values.mean(axis=0)[:, None]  # subtracted from the transpose, written once
+    return DataMatrix(np.subtract(data.values.T, mean, order="C").T, row_labels=data.row_labels)
+
+
+def _centered_scatter(Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the rows' mean and centered scatter (Y - mean)^T (Y - mean), by two passes
+    mean = Y.mean(axis=0)
+    dev = Y - mean
+    return mean, dev.T @ dev
 
 
 def covariance_pca(data: DataMatrix) -> CovarianceSummary:
@@ -122,7 +133,7 @@ def covariance_pca(data: DataMatrix) -> CovarianceSummary:
     """
     if data.n_obs < 2:
         raise ValueError("covariance needs at least 2 observations")
-    cov = np.atleast_2d(np.cov(data.values, rowvar=False, ddof=1))  # exactly symmetric
+    cov = _centered_scatter(data.values)[1] * np.true_divide(1, data.n_obs - 1)  # np.cov's bits
     eigvals, eigvecs = np.linalg.eigh(cov)  # ascending
     return CovarianceSummary(cov, eigvals[::-1], eigvecs[:, ::-1])
 

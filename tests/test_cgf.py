@@ -604,7 +604,8 @@ def _solo_maxima(data: DataMatrix, r: float, config: MultistartConfig):
 
 
 def _experiment_data(family: str, seed: int, T: int = 500) -> tuple[DataMatrix, float]:
-    # an n=30 simulation draw as the detector's ascent sees it: unit lambda1
+    # an n=30 simulation draw, centered and scaled to unit lambda1, at the radius
+    # that leaves r * X as the detector's ascent reads it
     spec = SimulationSpec(family=family, n=30, T=T, seed=seed,
                           sigma_mat=default_covariance(30, 20.0, seed=0),
                           nu=5.0 if family == "student_t" else None)

@@ -148,9 +148,10 @@ def test_location_shift_leaves_flags_unchanged():
 
 
 def test_global_scale_equivariance():
-    # q-scores are scale-free, and the ascent runs on data scaled to unit
-    # lambda1, so positive scaling and row permutation change the arithmetic
-    # only by round-off: the flags agree exactly at the default tolerance
+    # q-scores are scale-free, and so is every decision of the ascent (r goes
+    # with 1 / sqrt(lambda1)), so positive scaling, down to 1e-20 and up to 1e20,
+    # and row permutation change the arithmetic only by round-off: the flags
+    # agree exactly at the default tolerance
     sigma = default_covariance(30, 20.0, seed=0)
     for family, kw in (("normal", {}), ("student_t", {"nu": 5.0}), ("skew_normal", {})):
         for seed in range(3):
@@ -162,9 +163,9 @@ def test_global_scale_equivariance():
                 cfg = DetectorConfig(beta=3.0, method=method,
                                      multistart=MultistartConfig(n_starts=200, seed=seed))
                 base = fit(ds.data, cfg)
-                variants = [(fit(DataMatrix(0.37 * X), cfg), slice(None)),
-                            (fit(DataMatrix(7.3 * X), cfg), slice(None)),
-                            (fit(DataMatrix(X[perm]), cfg), np.argsort(perm))]
+                variants = [(fit(DataMatrix(factor * X), cfg), slice(None))
+                            for factor in (0.37, 7.3, 1e-20, 1e20, 2.0**-60)]
+                variants.append((fit(DataMatrix(X[perm]), cfg), np.argsort(perm)))
                 for beta in (2.5, 3.5):
                     want = remove(base, beta)
                     for fitted, back in variants:

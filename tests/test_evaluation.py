@@ -121,6 +121,11 @@ def test_default_beta_grid():
     for bad in [(1.0, 1.0, inf), (inf, 1.0, inf), (1.0, inf, 3.0), (float("nan"), 1.0, 2.0)]:
         with pytest.raises(ValueError, match="lo, step and hi must be finite"):
             default_beta_grid(*bad)
+    # the grid is counted before it is allocated: 9.5e12 points would need 69 TiB
+    assert len(default_beta_grid(1.0, 1e-4, 1.9999)) == 10_000
+    for oversized in [(1.0, 1e-4, 2.0), (0.5, 1e-12, 10.0), (1e-300, 1e-300, 1e300)]:
+        with pytest.raises(ValueError, match="points, more than 10000"):
+            default_beta_grid(*oversized)
 
 
 def _planted_dataset(seed: int = 7) -> LabeledDataset:

@@ -564,6 +564,7 @@ def test_beta_star_mode_ignores_nan_and_breaks_ties_low():
     ("--alpha-range", "a:b", "expected lo:hi, got 'a:b'"),
     ("--beta-grid", "1:2", "expected lo:step:hi, got '1:2'"),
     ("--beta-grid", "3:1:2", "need 0 < lo <= hi and step > 0"),
+    ("--beta-grid", "0.5:1e-12:10", "the grid has 9.5e+12 points, more than 10000"),
 ])
 def test_cli_range_options_name_the_expected_form(tmp_path, capsys, option, value, message):
     out = tmp_path / "out"

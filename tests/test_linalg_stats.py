@@ -104,12 +104,16 @@ def test_eigendecomposition_reconstruction_random_spd():
 
 @pytest.mark.parametrize("n", [1, 2, 5, 30])
 def test_covariance_pca_is_eigh_of_an_exactly_symmetric_matrix(n):
-    # np.cov's product is exactly symmetric and eigh returns ascending eigenvalues,
-    # so covariance_pca needs neither a symmetrizing nor a sorting step
+    # the two-pass scatter times 1 / (T - 1) is np.cov's arithmetic, bit for bit, in
+    # both layouts (F is the one center returns); its product is exactly symmetric and
+    # eigh returns ascending eigenvalues, so neither a symmetrizing nor a sorting step is needed
     rng = np.random.default_rng(n)
     for T in (2, 3, 10, 100, 1000, 10_000):
         scale = rng.uniform(0.01, 100.0, n)
         for X in (rng.normal(size=(T, n)) * scale, rng.standard_t(3, size=(T, n)) * scale + 5.0):
+            for layout in (X, np.asfortranarray(X)):
+                cov = np.atleast_2d(np.cov(layout, rowvar=False, ddof=1))
+                assert np.array_equal(covariance_pca(DataMatrix(layout)).matrix, cov), (T, n)
             s = covariance_pca(DataMatrix(X))
             assert np.array_equal(s.matrix, s.matrix.T)
             assert np.all(np.diff(s.eigenvalues) <= 0.0)

@@ -26,10 +26,11 @@ one job per side, alternating which side goes first, and reads
 quartiles, and the median and quartiles of the per-round ratios B / A. It
 also says whether the two sides' outputs (flags and q-score bytes, or ROC
 points and failures) were equal in every round; for detect-large it says
-apart whether the flags alone were, so a change that keeps every flag but
-moves q-scores shows as such. After the timed rounds, each side runs the job
-PEAK_RUNS more times under `tracemalloc`, and the output gives the median
-peak of traced memory per job beside the CPU seconds.
+apart whether the flags alone were, and the largest q-score difference over
+the rows both sides scored, so a change that keeps every flag but moves
+q-scores by round-off says by how much. After the timed rounds, each side
+runs the job PEAK_RUNS more times under `tracemalloc`, and the output gives
+the median peak of traced memory per job beside the CPU seconds.
 Tracing slows every allocation, so no timed run is traced. Once more
 untimed, each side runs the job with the package's CGF kernel
 (`cgf._exp_shifted`) wrapped, and the output gives its calls per job and the
@@ -146,6 +147,15 @@ def kernel_counts(pkg, job) -> tuple[int, int]:
     return counts[0], counts[1]
 
 
+def largest_q_gap(a, b) -> float:
+    """The largest |q_A - q_B| over the rows both sides scored, in two detect-large outputs."""
+    gap = 0.0
+    for (_, qa), (_, qb) in zip(a, b):
+        diff = np.abs(np.frombuffer(qa) - np.frombuffer(qb))
+        gap = max(gap, float(diff[~np.isnan(diff)].max(initial=0.0)))
+    return gap
+
+
 WORKLOADS = {"detect-large": detect_large, "pca-sweep": pca_sweep, "maxcgf-sweep": maxcgf_sweep}
 
 
@@ -171,6 +181,7 @@ def main(argv: list[str]) -> int:
 
     cpu: list[list[float]] = [[], []]
     same = flags_same = True
+    q_gap = 0.0
     for r in range(rounds):
         outputs = [None, None]
         for side in ((0, 1) if r % 2 == 0 else (1, 0)):
@@ -180,6 +191,7 @@ def main(argv: list[str]) -> int:
         same = same and outputs[0] == outputs[1]
         if workload == "detect-large":  # (packed flags, q-score bytes) per report
             flags_same = flags_same and [f for f, _ in outputs[0]] == [f for f, _ in outputs[1]]
+            q_gap = max(q_gap, largest_q_gap(*outputs))
     ratios = [b / a for a, b in zip(*cpu)]
     peaks = [statistics.median(traced_peak_mb(job) for _ in range(PEAK_RUNS)) for job in jobs]
     kernels = [kernel_counts(pkg, job) for pkg, job in zip(pkgs, jobs)]
@@ -196,7 +208,8 @@ def main(argv: list[str]) -> int:
     print(f"B/A: median {q2:.4f}  quartiles {q1:.4f}-{q3:.4f}  B lower in {wins} of {rounds}")
     print(f"outputs equal in every round: {'yes' if same else 'no'}")
     if workload == "detect-large":
-        print(f"flags equal in every round: {'yes' if flags_same else 'no'}")
+        print(f"flags equal in every round: {'yes' if flags_same else 'no'}; "
+              f"largest q-score difference over rows both sides scored: {q_gap:.3g}")
     a1, a2, a3 = quartiles(cpu[0])
     gap = a2 - statistics.median(cpu[1])
     met = wins >= 0.9 * rounds and gap > a3 - a1
