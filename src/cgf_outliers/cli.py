@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .cgf import ConvergenceError, MultistartConfig
-from .detector import DetectionError, DetectionMethod, DetectorConfig, detect
+from .detector import DetectionError, DetectionMethod, DetectorConfig, FitConfig, detect
 from .distributions import LabeledDataset, SimulationSpec, default_covariance, inject_outliers
 from .evaluation import RocCurve, default_beta_grid, roc_sweep
 from .io import (
@@ -50,6 +50,7 @@ _DIST = {
     "studentt": "student_t",
 }
 _COV_BASIS_SEED = 0  # default covariance is an experiment constant, not per-seed
+_SEED_HELP = "echoed in the report; the starts depend on the data alone"
 
 
 def _emit_error(kind: str, message: str) -> None:
@@ -125,7 +126,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="input data CSV")
     p.add_argument("--beta", type=float, required=True)
     _add_detector_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.add_argument("--out", default=".")
     p.set_defaults(func=_cmd_detect)
 
@@ -136,7 +137,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--beta-grid", type=_parse_grid, default=default_beta_grid(),
                    metavar="LO:STEP:HI")
     _add_detector_args(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.add_argument("--timings", action="store_true",
                    help="write the fit's and the removal loops' seconds into summary.json")
     p.add_argument("--out", default=".")
@@ -182,13 +183,9 @@ def _build_spec(args, seed: int) -> SimulationSpec:
     )
 
 
-def _detector_config(args, beta: float, seed: int) -> DetectorConfig:
-    return DetectorConfig(
-        beta=beta,
-        target_eps=args.eps_target,
-        multistart=MultistartConfig(n_starts=args.starts, seed=seed),
-        method=args.method,
-    )
+def _fit_options(args, seed: int) -> dict:  # the FitConfig fields of detect, evaluate and sweep
+    return {"target_eps": args.eps_target, "method": args.method,
+            "multistart": MultistartConfig(n_starts=args.starts, seed=seed)}
 
 
 def _sim_config_echo(args, seed) -> dict:
@@ -240,7 +237,7 @@ def _cmd_returns(args) -> int:
 
 def _cmd_detect(args) -> int:
     data = read_data_csv(args.data)
-    report = detect(data, _detector_config(args, args.beta, args.seed))
+    report = detect(data, DetectorConfig(beta=args.beta, **_fit_options(args, args.seed)))
     payload = {
         **_envelope("detect", _detector_config_echo(
             args, args.seed, {"data": str(args.data), "beta": args.beta})),
@@ -282,7 +279,7 @@ def _evaluate_into(args, suffix: str, seed: int, dataset: LabeledDataset,
                    head: dict) -> RocCurve:
     """Sweep the beta grid on dataset, then write roc<suffix>.csv and summary<suffix>.json."""
     grid = args.beta_grid
-    curve = roc_sweep(dataset, args.method, grid, _detector_config(args, float(grid[0]), seed))
+    curve = roc_sweep(dataset, args.method, grid, FitConfig(**_fit_options(args, seed)))
     out = _outdir(args)
     write_roc_csv(os.path.join(out, f"roc{suffix}.csv"), curve)
     summary = {

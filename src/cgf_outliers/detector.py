@@ -1,10 +1,10 @@
 """Projection-pursuit outlier detection with a kurtosis-guarded removal loop.
 
-Detection runs in two steps. `fit` does everything that does not depend on
-the threshold beta: it centers the data once, picks the projection radius
-from the relative-error rule, and finds the candidate directions (multistart
-CGF maxima, or PC1 for the baseline; PC1 comes with the rows' mean and
-scatter, which its re-estimates downdate).
+Detection runs in two steps. `fit` reads a `FitConfig` and does everything
+that does not depend on the threshold beta: it centers the data once, picks
+the projection radius from the relative-error rule, and finds the candidate
+directions (multistart CGF maxima, or PC1 for the baseline; PC1 comes with
+the rows' mean and scatter, which its re-estimates downdate).
 `remove` then runs the removal loop at one beta, over the directions in
 CGF-descending order. Each direction makes passes, and every pass takes the
 same steps:
@@ -35,7 +35,8 @@ a beta sweep fits once and runs its betas' removal loops on that fit.
 The CGF ascent reads the centered rows at radius r. Each of its decisions is
 scale-free: steps are normalized gradients, the stop, merge and jump tests
 compare unit directions, and r * X, hence G, is unchanged by scaling the data,
-since r goes with 1 / sqrt(lambda1).
+since r goes with 1 / sqrt(lambda1). So is its round-off while fourth powers stay
+normal doubles: `fit` refuses centered rows whose largest magnitude is outside [2^-240, 2^240].
 
 The pca re-estimate is PC1 of the survivors' centered scatter. The fit
 computes the rows' mean and scatter once, by two passes; each removal loop
@@ -90,6 +91,7 @@ from .linalg_stats import (
 
 __all__ = [
     "DetectionMethod",
+    "FitConfig",
     "DetectorConfig",
     "DirectionTrace",
     "DetectionReport",
@@ -130,18 +132,27 @@ class DetectionMethod(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
-    beta: float
+class FitConfig:
+    """What `fit` reads; `DetectorConfig` adds the threshold beta that `detect` removes at."""
+
     target_eps: float = 0.1
     multistart: MultistartConfig = MultistartConfig()
     method: DetectionMethod = DetectionMethod.MAX_CGF
 
     def __post_init__(self) -> None:
-        if not (0 < self.beta < math.inf):
-            raise ValueError("beta must be positive and finite")
         if not (0.0 < self.target_eps < 1.0):
             raise ValueError("target_eps must lie in (0, 1)")
         object.__setattr__(self, "method", DetectionMethod(self.method))
+
+
+@dataclass(frozen=True, kw_only=True)
+class DetectorConfig(FitConfig):
+    beta: float
+
+    def __post_init__(self) -> None:
+        if not (0 < self.beta < math.inf):
+            raise ValueError("beta must be positive and finite")
+        super().__post_init__()
 
 
 @dataclass(eq=False)
@@ -331,18 +342,24 @@ def _pc1(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit(data: DataMatrix, config: DetectorConfig) -> FittedDetector:
-    """Center, select the radius, and find the candidates.
+def fit(data: DataMatrix, config: FitConfig = FitConfig()) -> FittedDetector:
+    """Center, select the radius, and find the candidates: the steps before any beta.
 
     maxcgf: multistart CGF maxima, each scored once.
     pca: PC1, and the rows' mean and scatter that its re-estimates downdate.
-    config.beta is not read.
+    Raises ValueError when the centered rows' largest magnitude is outside [2^-240, 2^240].
     """
     T = data.n_obs
     if T < 10:
         raise ValueError("detection needs at least 10 observations")
 
     centered = center(data)
+    # A unit projection of a row is at most sqrt(n) s, s the largest magnitude, so the kurtosis
+    # sums T terms of at most n^2 s^4: finite for s <= 2^240 while T n^2 < 2^64. s >= 2^-240 keeps
+    # s^4 and m2^2 for m2 >= 2^-31 s^2 normal doubles. s = 0 is constant data, reported below.
+    scale = max(centered.values.max(), -centered.values.min())
+    if scale and not 2.0**-240 <= scale <= 2.0**240:
+        raise ValueError(f"data scale {scale:.3g} is outside [2^-240, 2^240]; rescale the data")
     cov = covariance_pca(centered)
     lambda1 = cov.lambda1
     if lambda1 <= 0:

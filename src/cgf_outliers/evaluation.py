@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detector import DetectionError, DetectionMethod, DetectorConfig, fit, remove_many
+from .detector import DetectionError, DetectionMethod, FitConfig, fit, remove_many
 from .detector import detect  # noqa: F401  (unused; perfbench/tracer.py wraps evaluation.detect)
 from .distributions import LabeledDataset
 
@@ -151,14 +151,14 @@ def roc_sweep(
     dataset: LabeledDataset,
     method: DetectionMethod | str,
     beta_grid,
-    base_config: DetectorConfig,
+    base_config: FitConfig = FitConfig(),
 ) -> RocCurve:
     """Fit once, run every beta's removal loop as a row of `remove_many`, and assemble the curve.
 
-    Every beta reads the same fit, and `remove_many` gives each beta what
-    `remove` gives it alone, so each point equals a direct `detect` at that
-    beta. A beta whose removal loop raises a detection error is dropped from
-    the curve and recorded only in RocCurve.failures; nothing is warned.
+    It fits base_config with `method` in place of its own, and every beta reads
+    that fit; `remove_many` gives each beta what `remove` gives it alone, so each
+    point equals a direct `detect` at that beta. A beta whose removal loop raises
+    a detection error is left off the curve and only recorded in RocCurve.failures.
     """
     grid = [float(b) for b in np.asarray(beta_grid, dtype=float).ravel()]
     if not grid:

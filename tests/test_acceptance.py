@@ -18,7 +18,7 @@ import numpy as np
 
 from cgf_outliers import (
     DataMatrix,
-    DetectorConfig,
+    FitConfig,
     MultistartConfig,
     SimulationSpec,
     assemble_curve,
@@ -179,7 +179,7 @@ def _experiment(family, seeds, method="maxcgf", grid=None, sigma=None, starts=20
         spec = SimulationSpec(family=family, n=30, T=500, seed=seed,
                               sigma_mat=sigma, **family_kw)
         dataset = inject_outliers(spec)
-        config = DetectorConfig(beta=3.0, multistart=MultistartConfig(n_starts=starts, seed=seed))
+        config = FitConfig(multistart=MultistartConfig(n_starts=starts, seed=seed))
         curve = roc_sweep(dataset, method, grid, config)
         aucs.append(curve.auc)
         bcvs.append(curve.bcv)

@@ -1,5 +1,6 @@
 """Unit tests for the detection loop, q-scores, and the PCA baseline."""
 
+import json
 from dataclasses import fields, replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from cgf_outliers import (
     DetectionMethod,
     DetectorConfig,
     DirectionTrace,
+    FitConfig,
     MultistartConfig,
     SimulationSpec,
     covariance_pca,
@@ -26,8 +28,10 @@ from cgf_outliers import (
     q_scores,
     remove,
     remove_many,
+    run_cli,
     sample_normal,
     select_radius,
+    write_data_csv,
 )
 import cgf_outliers.detector as detector_module
 from cgf_outliers.detector import _fix_sign, _pc1
@@ -49,12 +53,16 @@ def test_detector_config_validation():
     for beta in (0.0, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="beta must be positive and finite"):
             DetectorConfig(beta=beta)
-    with pytest.raises(ValueError):
-        DetectorConfig(beta=3.0, target_eps=1.0)
-    with pytest.raises(ValueError):
-        DetectorConfig(beta=3.0, method="nonsense")
-    cfg = DetectorConfig(beta=3.0, method="pca")
-    assert cfg.method is DetectionMethod.PCA_BASELINE
+    for make in (FitConfig, lambda **kw: DetectorConfig(beta=3.0, **kw)):
+        for eps in (0.0, 1.0):
+            with pytest.raises(ValueError, match="target_eps must lie in"):
+                make(target_eps=eps)
+        with pytest.raises(ValueError):
+            make(method="nonsense")
+        assert make(method="pca").method is DetectionMethod.PCA_BASELINE
+    # beta is keyword-only: a positional value binds to no field by accident
+    with pytest.raises(TypeError, match="keyword-only argument: 'beta'"):
+        DetectorConfig(3.0)
 
 
 def test_detect_requires_ten_rows():
@@ -149,7 +157,7 @@ def test_location_shift_leaves_flags_unchanged():
 
 def test_global_scale_equivariance():
     # q-scores are scale-free, and so is every decision of the ascent (r goes
-    # with 1 / sqrt(lambda1)), so positive scaling, down to 1e-20 and up to 1e20,
+    # with 1 / sqrt(lambda1)), so positive scaling, down to 1e-60 and up to 1e60,
     # and row permutation change the arithmetic only by round-off: the flags
     # agree exactly at the default tolerance
     sigma = default_covariance(30, 20.0, seed=0)
@@ -160,11 +168,10 @@ def test_global_scale_equivariance():
             X = ds.data.values
             perm = np.random.default_rng(seed).permutation(X.shape[0])
             for method in ("maxcgf", "pca"):
-                cfg = DetectorConfig(beta=3.0, method=method,
-                                     multistart=MultistartConfig(n_starts=200, seed=seed))
+                cfg = FitConfig(method=method, multistart=MultistartConfig(n_starts=200, seed=seed))
                 base = fit(ds.data, cfg)
                 variants = [(fit(DataMatrix(factor * X), cfg), slice(None))
-                            for factor in (0.37, 7.3, 1e-20, 1e20, 2.0**-60)]
+                            for factor in (0.37, 7.3, 1e-20, 1e20, 2.0**-60, 1e-60, 1e60)]
                 variants.append((fit(DataMatrix(X[perm]), cfg), np.argsort(perm)))
                 for beta in (2.5, 3.5):
                     want = remove(base, beta)
@@ -173,6 +180,27 @@ def test_global_scale_equivariance():
                         case = (family, seed, method, beta)
                         assert np.array_equal(want.outlier_flags, got.outlier_flags[back]), case
                         assert np.nanmax(np.abs(want.q_scores - got.q_scores[back])) < 1e-9, case
+
+
+@pytest.mark.parametrize("factor", [1e-100, 1e100, 1e-160, 1e160, 1e-250, 1e250])
+def test_data_outside_the_scale_band_are_refused(factor, tmp_path, capsys):
+    # beyond [2^-240, 2^240] m2^2 underflows or the kurtosis's fourth powers
+    # overflow: the flags changed without a warning (1e-100), or the fit failed
+    # in eigh (1e160) or after NaN ascents (1e-160). fit refuses such data, and
+    # the CLI reports it as one JSON input error
+    sigma = default_covariance(5, 20.0, seed=0)
+    ds = inject_outliers(SimulationSpec(family="normal", n=5, T=300, seed=4, sigma_mat=sigma))
+    data = DataMatrix(factor * ds.data.values)
+    with pytest.raises(ValueError, match=r"outside \[2\^-240, 2\^240\]; rescale the data"):
+        fit(data)
+    write_data_csv(tmp_path / "data.csv", data)
+    out = tmp_path / "out"
+    argv = ["detect", "--data", str(tmp_path / "data.csv"), "--beta", "3", "--out", str(out)]
+    assert run_cli(argv) == 2
+    [line] = capsys.readouterr().err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "ValueError" and error["message"].startswith("data scale ")
+    assert not out.exists()
 
 
 def test_rotation_equivariance():
@@ -186,8 +214,7 @@ def test_rotation_equivariance():
                                                 sigma_mat=sigma, **kw))
             rotation = np.linalg.qr(np.random.default_rng(seed).standard_normal((30, 30)))[0]
             for method in ("maxcgf", "pca"):
-                cfg = DetectorConfig(beta=3.0, method=method,
-                                     multistart=MultistartConfig(n_starts=200, seed=seed))
+                cfg = FitConfig(method=method, multistart=MultistartConfig(n_starts=200, seed=seed))
                 base = fit(ds.data, cfg)
                 rotated = fit(DataMatrix(ds.data.values @ rotation), cfg)
                 for beta in (2.5, 3.5):
@@ -271,7 +298,7 @@ def test_pca_reestimate_tracks_covariance_pca_pc1_past_gross_outliers(monkeypatc
             gross[7] *= scale
             draws.append(gross)
         for k, x in enumerate(draws):
-            fitted = fit(DataMatrix(x), DetectorConfig(beta=3.0, method="pca"))
+            fitted = fit(DataMatrix(x), FitConfig(method="pca"))
             values = fitted.centered.values
             for beta in (1.0, 2.0, 3.0, 4.0):
                 calls.clear()
@@ -338,8 +365,7 @@ def test_maxcgf_directions_make_one_pass(monkeypatch):
     removed = 0
     for seed in range(3):
         ds = inject_outliers(SimulationSpec(family="std_normal", n=4, T=100, seed=seed))
-        fitted = fit(ds.data, DetectorConfig(beta=3.0,
-                                             multistart=MultistartConfig(n_starts=20, seed=seed)))
+        fitted = fit(ds.data, FitConfig(multistart=MultistartConfig(n_starts=20, seed=seed)))
         assert fitted.mean is None and fitted.scatter is None
         for beta in (1.5, 3.0):
             report = remove(fitted, beta)
@@ -430,7 +456,7 @@ def test_every_exit_of_remove_is_pinned(monkeypatch):
     # scatters
     ds = inject_outliers(SimulationSpec(family="std_normal", n=3, T=40, seed=1))
     fitted = fit(DataMatrix(np.column_stack([ds.data.values, np.zeros(40)])),
-                 DetectorConfig(beta=3.0, method="pca"))
+                 FitConfig(method="pca"))
     zero_axis = np.eye(4)[3]
     head = list(fitted.warnings)
     assert fitted.iterations == 0 and len(head) == 1  # the infeasible-radius warning
@@ -478,8 +504,7 @@ def test_every_reestimate_sees_at_least_three_rows(monkeypatch):
     for T, seed in [(40, 0), (40, 1), (500, 2)]:
         ds = inject_outliers(SimulationSpec(family="std_normal", n=3, T=T, seed=seed))
         for method in ("maxcgf", "pca"):
-            cfg = DetectorConfig(beta=1.0, method=method,
-                                 multistart=MultistartConfig(n_starts=20, seed=seed))
+            cfg = FitConfig(method=method, multistart=MultistartConfig(n_starts=20, seed=seed))
             fitted = fit(ds.data, cfg)
             for beta in (0.5, 0.6, 0.75, 1.0):
                 calls.clear()
@@ -530,16 +555,15 @@ def test_remove_on_one_fit_matches_detect_at_each_beta():
     # projections pass the Gaussian gate
     ds = inject_outliers(SimulationSpec(family="std_normal", n=4, T=40, seed=3))
     for method in ("maxcgf", "pca"):
-        cfg = DetectorConfig(
-            beta=3.0, method=method, multistart=MultistartConfig(n_starts=20, seed=3)
-        )
-        fitted = fit(ds.data, cfg)
+        starts = MultistartConfig(n_starts=20, seed=3)
+        fitted = fit(ds.data, FitConfig(method=method, multistart=starts))
         assert not fitted.radius.feasible
         for beta in (1.5, 2.5, 4.0):
             report = remove(fitted, beta)
             assert "unattainable" in report.warnings[0]
             assert report.n_flagged > 0
-            _assert_same_report(report, detect(ds.data, replace(cfg, beta=beta)))
+            config = DetectorConfig(beta=beta, method=method, multistart=starts)
+            _assert_same_report(report, detect(ds.data, config))
             _assert_same_report(report, remove(fitted, beta))
         for beta in (0.0, float("inf")):
             with pytest.raises(ValueError, match="beta must be positive and finite"):
@@ -587,8 +611,7 @@ def test_lockstep_betas_match_one_beta_runs(monkeypatch):
     fits = []
     for k, data in enumerate(draws):
         for method in ("pca", "maxcgf"):
-            config = DetectorConfig(beta=3.0, method=method,
-                                    multistart=MultistartConfig(n_starts=200, seed=k))
+            config = FitConfig(method=method, multistart=MultistartConfig(n_starts=200, seed=k))
             fits.append((k, method, fit(data, config)))
     fits += [(k, "pca twice", replace(fitted, candidates=fitted.candidates * 2))
              for k, method, fitted in fits if method == "pca"]
@@ -625,9 +648,8 @@ def test_the_row_at_the_mad_ties_beta_one_and_stays():
     # its first candidate only, which scores all 101 rows once. remove runs
     # one row; the sweep runs 39, and beta 1.0 is one of them
     ds = inject_outliers(SimulationSpec(family="std_normal", n=3, T=101, seed=2))
-    pca = fit(ds.data, DetectorConfig(beta=1.0, method="pca"))
-    maxcgf = fit(ds.data, DetectorConfig(beta=1.0,
-                                         multistart=MultistartConfig(n_starts=20, seed=2)))
+    pca = fit(ds.data, FitConfig(method="pca"))
+    maxcgf = fit(ds.data, FitConfig(multistart=MultistartConfig(n_starts=20, seed=2)))
     grid = list(default_beta_grid())
     cases = [(pca, 3, 26), (replace(maxcgf, candidates=maxcgf.candidates[:1]), 1, 51)]
     for fitted, passes, kept in cases:

@@ -10,6 +10,7 @@ from cgf_outliers import (
     DataMatrix,
     DetectionError,
     DetectorConfig,
+    FitConfig,
     LabeledDataset,
     MultistartConfig,
     RocPoint,
@@ -17,6 +18,7 @@ from cgf_outliers import (
     confusion_rates,
     default_beta_grid,
     detect,
+    fit,
     roc_sweep,
 )
 
@@ -137,8 +139,18 @@ def _planted_dataset(seed: int = 7) -> LabeledDataset:
     return LabeledDataset(DataMatrix(x), truth)
 
 
-def _sweep_config() -> DetectorConfig:
-    return DetectorConfig(beta=3.0, multistart=MultistartConfig(n_starts=30, seed=3))
+def _sweep_config() -> FitConfig:
+    return FitConfig(multistart=MultistartConfig(n_starts=30, seed=3))
+
+
+def _assert_same_fit(a, b) -> None:
+    assert (a.method, a.radius, a.iterations, a.warnings) == (b.method, b.radius, b.iterations,
+                                                              b.warnings)
+    assert np.array_equal(a.centered.values, b.centered.values)
+    assert [v for _, v in a.candidates] == [v for _, v in b.candidates]
+    assert all(np.array_equal(u, v) for (u, _), (v, _) in zip(a.candidates, b.candidates))
+    for x, y in ((a.mean, b.mean), (a.scatter, b.scatter)):
+        assert (x is None and y is None) or np.array_equal(x, y)
 
 
 def _assert_stage_timings(curve) -> None:
@@ -149,7 +161,8 @@ def _assert_stage_timings(curve) -> None:
 
 def test_roc_sweep_single_beta_matches_direct_detect():
     # one fit serves the whole grid: every point and every failure must be
-    # what a direct detect at that beta gives
+    # what a direct detect at that beta gives. The sweep fits a FitConfig and
+    # detect a DetectorConfig with the same fields, which must fit alike
     dataset = _planted_dataset()
     grid = [1e-9, 2.0, 4.0, 6.0]
     for method in ("maxcgf", "pca"):
@@ -158,10 +171,12 @@ def test_roc_sweep_single_beta_matches_direct_detect():
             warnings.simplefilter("error")  # the failure is recorded, not warned
             curve = roc_sweep(dataset, method, grid, config)
 
+        direct = DetectorConfig(beta=grid[-1], method=method, multistart=config.multistart)
+        _assert_same_fit(fit(dataset.data, direct), fit(dataset.data, config))
         expected_points, expected_failures = [], []
         for beta in grid:
             try:
-                report = detect(dataset.data, replace(config, beta=beta))
+                report = detect(dataset.data, replace(direct, beta=beta))
             except DetectionError as err:
                 expected_failures.append((beta, str(err)))
                 continue

@@ -22,7 +22,8 @@ def test_option_surface_is_pinned():
         return [f.name for f in dataclasses.fields(cls) if f.init]
 
     assert fields(cgf_outliers.MultistartConfig) == ["n_starts", "seed"]
-    assert fields(cgf_outliers.DetectorConfig) == ["beta", "target_eps", "multistart", "method"]
+    assert fields(cgf_outliers.FitConfig) == ["target_eps", "multistart", "method"]
+    assert fields(cgf_outliers.DetectorConfig) == ["target_eps", "multistart", "method", "beta"]
     assert fields(cgf_outliers.SimulationSpec) == [
         "family", "n", "T", "seed", "sigma_mat", "nu", "alpha_range"]
     assert list(inspect.signature(cgf_outliers.refine_direction).parameters) == [

@@ -74,6 +74,7 @@ def detect_large(pkg, seed: int):
     draws = [pkg.inject_outliers(pkg.SimulationSpec(family="normal", n=30, T=10_000, seed=s,
                                                     sigma_mat=sigma))
              for s in range(4 * seed, 4 * seed + 4)]
+    # DetectorConfig here and in _sweep, not FitConfig: the trees compared may predate it
     config = pkg.DetectorConfig(beta=3.25)
 
     def job():

@@ -2,18 +2,19 @@
 
     python3 tools/quality_table.py SEED [TREE]
 
-TREE is a source tree holding src/cgf_outliers (default: this repository).
+TREE is a source tree holding src/cgf_outliers with `FitConfig` (default:
+this repository).
 The row has four cells, each measured on data seeds counted from SEED:
 
 - detect-large: fpr / tpr / CPU seconds / multistart updates per draw, each
   the mean over 4 correlated-normal draws (n=30, T=10,000, outliers planted,
-  seeds SEED to SEED+3) detected at the README config
-  (`DetectorConfig(beta=3.25)`); the updates are `FittedDetector.iterations`,
+  seeds SEED to SEED+3) detected at the README config (fit at `FitConfig()`,
+  removed at beta 3.25); the updates are `FittedDetector.iterations`,
   the counter that repeats exactly across runs while CPU seconds do not;
 - clean T=10,000: the flag rate of 2 correlated-normal draws without
   outliers (seeds SEED, SEED+1) at the same config;
 - clean T=500: the mean flag rate of 10 such draws (seeds SEED to SEED+9),
-  T=500, at 200 starts;
+  T=500, at 200 starts and beta 3.25;
 - T=500 AUC: the mean AUC of the 39-beta `roc_sweep` over 5 draws (seeds SEED
   to SEED+4) at 200 starts, for std-normal, correlated normal, Student-t
   nu=5 and skew-normal (alpha in [-1, 4]), the settings of the acceptance
@@ -53,11 +54,11 @@ def main(argv: list[str]) -> int:
         sys.stderr.write(f"cgf_outliers was not imported from {src}\n")
         return 2
     sigma = pkg.default_covariance(30, 20.0, seed=0)
-    readme = pkg.DetectorConfig(beta=3.25)
+    readme, beta = pkg.FitConfig(), 3.25
 
     def at_200_starts(s: int):
         # the experiments' setting; the multistart seed is the data seed
-        return pkg.DetectorConfig(beta=3.25, multistart=pkg.MultistartConfig(n_starts=200, seed=s))
+        return pkg.FitConfig(multistart=pkg.MultistartConfig(n_starts=200, seed=s))
 
     fpr, tpr, cpu, updates = [], [], [], []
     for s in range(seed, seed + 4):
@@ -65,7 +66,7 @@ def main(argv: list[str]) -> int:
                                                     sigma_mat=sigma))
         start = time.process_time()
         fitted = pkg.fit(ds.data, readme)
-        report = pkg.remove(fitted, readme.beta)
+        report = pkg.remove(fitted, beta)
         cpu.append(time.process_time() - start)
         updates.append(fitted.iterations)
         t, f = pkg.confusion_rates(report.outlier_flags, ds.truth)
@@ -75,7 +76,8 @@ def main(argv: list[str]) -> int:
              f"{np.mean(updates):.0f}")
 
     def clean_rate(T: int, s: int, config) -> float:
-        return float(pkg.detect(pkg.sample_normal(sigma, T, s), config).outlier_flags.mean())
+        fitted = pkg.fit(pkg.sample_normal(sigma, T, s), config)
+        return float(pkg.remove(fitted, beta).outlier_flags.mean())
 
     clean_large = [clean_rate(10_000, s, readme) for s in (seed, seed + 1)]
     clean_small = [clean_rate(500, s, at_200_starts(s)) for s in range(seed, seed + 10)]
