@@ -96,11 +96,7 @@ _AITKEN_COS = 0.99  # cosine between consecutive Psi steps above which a start e
 
 
 class ConvergenceError(RuntimeError):
-    """No ascent start converged within _MAX_ITERS. Carries partial results."""
-
-    def __init__(self, message: str, partial: "MaximizerResult | None" = None):
-        super().__init__(message)
-        self.partial = partial
+    """No ascent start converged within _MAX_ITERS; the message says so."""
 
 
 def unit_vector(v) -> np.ndarray:
@@ -455,8 +451,7 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
     not depend on the layout, nor the starts on the row order.
 
     Raises ValueError when the data are not 2-D or not finite, or every row
-    is zero, and ConvergenceError (with partial results for every start)
-    only when no start converges at all.
+    is zero, and ConvergenceError only when no start converges at all.
     """
     X = _rows(data)
     if not (r > 0):
@@ -464,12 +459,8 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
     Xt = np.ascontiguousarray(X.T)
     thetas, values, converged, merged, total, violations = _ascend(
         Xt.T, r, _row_starts(Xt, config.n_starts))
-    counts = dict(total_iterations=total, ascent_violations=violations,
-                  starts_converged=int(converged.sum()), starts_merged=int(merged.sum()))
-
     if not converged.any():
-        partial = MaximizerResult(thetas, _batch_cgf(Xt.T, r, thetas), **counts)
-        raise ConvergenceError(f"no start converged within {_MAX_ITERS} iterations", partial)
+        raise ConvergenceError(f"no start converged within {_MAX_ITERS} iterations")
 
     cand = np.flatnonzero(converged)
     order = cand[np.argsort(-values[cand], kind="stable")]
@@ -479,7 +470,8 @@ def maximize_cgf(data: DataMatrix, r: float, config: MultistartConfig) -> Maximi
         if not kept or np.abs(thetas[kept] @ thetas[i]).max() <= _DEDUP_COS:
             kept.append(int(i))
 
-    return MaximizerResult(directions=thetas[kept], cgf_values=values[kept], **counts)
+    return MaximizerResult(thetas[kept], values[kept], total, violations,
+                           int(converged.sum()), int(merged.sum()))
 
 
 def refine_direction(values, r: float, theta) -> tuple[np.ndarray, int, bool]:

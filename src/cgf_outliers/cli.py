@@ -200,24 +200,14 @@ def _sim_config_echo(args, seed) -> dict:
     }
 
 
-def _detector_config_echo(args, seed, head: dict) -> dict:
-    """head, then the detector options of a run."""
-    return {
-        **head,
-        "eps_target": args.eps_target,
-        "starts": args.starts,
-        "method": args.method,
-        "seed": seed,
-    }
-
-
-def _envelope(command: str, config: dict) -> dict:
-    """The head of every JSON report: versions, the command and its config echo."""
+def _envelope(args, seed: int, head: dict) -> dict:
+    """The head of every JSON report: versions, the command, and head plus the detector options."""
     return {
         "schema_version": _SCHEMA_VERSION,
         "package_version": __version__,
-        "command": command,
-        "config": config,
+        "command": args.command,
+        "config": {**head, "eps_target": args.eps_target, "starts": args.starts,
+                   "method": args.method, "seed": seed},
     }
 
 
@@ -239,8 +229,7 @@ def _cmd_detect(args) -> int:
     data = read_data_csv(args.data)
     report = detect(data, DetectorConfig(beta=args.beta, **_fit_options(args, args.seed)))
     payload = {
-        **_envelope("detect", _detector_config_echo(
-            args, args.seed, {"data": str(args.data), "beta": args.beta})),
+        **_envelope(args, args.seed, {"data": str(args.data), "beta": args.beta}),
         "r_used": report.r_used,
         "beta": report.beta,
         "method": report.method.value,
@@ -283,8 +272,7 @@ def _evaluate_into(args, suffix: str, seed: int, dataset: LabeledDataset,
     out = _outdir(args)
     write_roc_csv(os.path.join(out, f"roc{suffix}.csv"), curve)
     summary = {
-        **_envelope(args.command, _detector_config_echo(
-            args, seed, {**head, "beta_grid": [float(b) for b in grid]})),
+        **_envelope(args, seed, {**head, "beta_grid": [float(b) for b in grid]}),
         "auc": curve.auc,
         "bcv": curve.bcv,
         "beta_star": curve.beta_star,
@@ -329,7 +317,7 @@ def _cmd_sweep(args) -> int:
     head = {**_sim_config_echo(args, args.seed), "n_seeds": args.n_seeds,
             "beta_grid": [float(b) for b in args.beta_grid]}
     payload = {
-        **_envelope("sweep", _detector_config_echo(args, args.seed, head)),
+        **_envelope(args, args.seed, head),
         "per_seed": [
             {"seed": s, "auc": c.auc, "bcv": c.bcv, "beta_star": c.beta_star}
             for s, c in per_seed
@@ -360,7 +348,7 @@ def run_cli(argv) -> int:
     except (DetectionError, ConvergenceError) as err:
         _emit_error(type(err).__name__, str(err))
         return 1
-    except (ValueError, OSError) as err:
+    except (ValueError, OSError, MemoryError) as err:  # MemoryError: a size too large to allocate
         _emit_error(type(err).__name__, str(err))
         return 2
 

@@ -72,6 +72,7 @@ import numpy as np
 from .cgf import (
     MultistartConfig,
     RadiusSelection,
+    _BLOCK,
     maximize_cgf,
     refine_direction,  # noqa: F401 -- perfbench/tracer.py wraps this binding
     select_radius,
@@ -116,8 +117,6 @@ _RECOMPUTE_BELOW = 1e-3
 # to reach it; a matrix still short of it after the cap goes to eigh.
 _CERTIFIED = 1.0 - 1e-13
 _SQUARINGS = 16
-# Candidates the removal loop projects by one product, a block x T buffer as the multistart's
-_CANDIDATE_BLOCK = 64
 
 
 class DetectionError(RuntimeError):
@@ -401,8 +400,10 @@ def remove_many(fitted: FittedDetector, betas) -> list[DetectionReport | Detecti
     k runs its passes on it before any row moves on. Each step makes one pass
     of every row still on k: it tests all their kurtosis together, then takes
     the medians, MADs and q-scores of the rows that pass, and their PCA
-    re-estimates share one PC1 solve. Returns, per beta in order, its report
-    or the DetectionError its loop met.
+    re-estimates share one PC1 solve. The pass that leaves a row fewer than 3
+    survivors ends its loop there, warning "N rows remain; stopping before
+    direction k + 2" when a candidate k + 1 exists. Returns, per beta in
+    order, its report or the DetectionError its loop met.
     """
     betas = list(betas)
     if not all(0 < beta < math.inf for beta in betas):
@@ -423,19 +424,15 @@ def remove_many(fitted: FittedDetector, betas) -> list[DetectionReport | Detecti
     running = list(range(nb))  # the rows that have not failed or run out of rows
 
     for k, (theta0, cgf_value) in enumerate(candidates):
-        for b in running:
-            if count[b] < 3:
-                warnings[b].append(f"{count[b]} rows remain; stopping before direction {k + 1}")
-        running = [b for b in running if count[b] >= 3]
         if not running:
             break
-        if k % _CANDIDATE_BLOCK == 0:  # one product projects the next block of candidates
-            block = np.stack([c for c, _ in candidates[k:k + _CANDIDATE_BLOCK]]) @ Y.T
+        if k % _BLOCK == 0:  # one product projects the next _BLOCK candidates, the multistart's block
+            block = np.stack([c for c, _ in candidates[k:k + _BLOCK]]) @ Y.T
         for b in running:
             traces[b].append(DirectionTrace(initial_direction=theta0, final_direction=theta0,
                                             cgf_value=cgf_value))
         rows = np.array(running)  # the rows still on candidate k
-        Z = np.broadcast_to(block[k % _CANDIDATE_BLOCK], (len(rows), T))
+        Z = np.broadcast_to(block[k % _BLOCK], (len(rows), T))
         while rows.size:  # each step makes one pass of every row on candidate k
             mask, m = alive[rows], count[rows]
             m2, kur = _row_moments(Z, mask, m)
@@ -486,6 +483,10 @@ def remove_many(fitted: FittedDetector, betas) -> list[DetectionReport | Detecti
                         count[b] -= removed[j]
                         if count[b] < 3:
                             trace.note = "too few rows to keep scoring"
+                            if k + 1 < len(candidates):
+                                warnings[b].append(
+                                    f"{count[b]} rows remain; stopping before direction {k + 2}")
+                            running.remove(b)
                         elif pca:
                             pending.append(j)
                 rows = rows[pending]

@@ -91,7 +91,11 @@ def _read_table(path, check_header=None, headerless=False):
     A headerless table's first row is data, its columns named by position.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as err:  # such as a cell longer than csv.field_size_limit()
+            raise ValueError(f"{path} row {reader.line_num}: {err}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
     if headerless:

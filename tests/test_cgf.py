@@ -305,15 +305,8 @@ def test_maximize_raises_when_nothing_converges(monkeypatch):
     config = MultistartConfig(n_starts=5, seed=2)
     monkeypatch.setattr(cgf_module, "_TOLERANCE", 1e-16)
     monkeypatch.setattr(cgf_module, "_MAX_ITERS", 2)
-    with pytest.raises(ConvergenceError) as exc_info:
+    with pytest.raises(ConvergenceError):
         maximize_cgf(data, 1.0, config)
-    partial = exc_info.value.partial
-    assert partial is not None
-    assert len(partial.directions) == len(partial.cgf_values) == 5
-    assert partial.starts_converged == 0
-    # with no candidate, every start's value is evaluated
-    np.testing.assert_array_equal(partial.cgf_values,
-                                  _batch_cgf(data.values, 1.0, partial.directions))
 
 
 def test_refine_direction_warm_start(monkeypatch):

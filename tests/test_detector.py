@@ -453,25 +453,25 @@ def test_every_exit_of_remove_is_pinned(monkeypatch):
     # 40 standard-normal rows with planted outliers and an all-zero fourth
     # column; the PCA fit has one candidate, and each case swaps the
     # candidates of that one fit or the downdate that gives its re-estimates'
-    # scatters
+    # scatters; the last cases run the removal loop on a max-CGF fit
     ds = inject_outliers(SimulationSpec(family="std_normal", n=3, T=40, seed=1))
     fitted = fit(DataMatrix(np.column_stack([ds.data.values, np.zeros(40)])),
                  FitConfig(method="pca"))
     zero_axis = np.eye(4)[3]
-    head = list(fitted.warnings)
-    assert fitted.iterations == 0 and len(head) == 1  # the infeasible-radius warning
+    assert fitted.iterations == 0 and len(fitted.warnings) == 1  # the infeasible-radius warning
 
     def always(scatter):  # a downdate that gives every loop this scatter
         return lambda values, state, rows, alive, out: np.repeat(scatter[None], len(rows), 0)
 
-    def run(beta, downdate=detector_module._downdate, **swap):
+    def run(beta, downdate=detector_module._downdate, fitted=fitted, **swap):
         with monkeypatch.context() as patch:
             patch.setattr(detector_module, "_downdate", downdate)
             report = remove(replace(fitted, **swap), beta)
         exits = [(t.note, len(t.kurtosis_trace), t.removed, t.refine_iterations)
                  for t in report.directions_used]
-        assert report.iterations_total == sum(e[3] for e in exits)
-        return exits, report.warnings[len(head):]
+        assert report.iterations_total == fitted.iterations + sum(e[3] for e in exits)
+        assert report.warnings[:len(fitted.warnings)] == list(fitted.warnings)
+        return exits, report.warnings[len(fitted.warnings):]
 
     # the candidate itself projects to a constant: no kurtosis, no scoring
     assert run(3.0, candidates=((zero_axis, None),)) == (
@@ -494,6 +494,19 @@ def test_every_exit_of_remove_is_pinned(monkeypatch):
     assert run(0.55, candidates=twice) == (
         [("too few rows to keep scoring", 3, 38, 2)],
         ["2 rows remain; stopping before direction 2"])
+    # a max-CGF direction's one pass leaves two of 12 heavy-tailed rows, with three
+    # candidates after it; stopping at the last candidate warns nothing
+    heavy = fit(DataMatrix(np.random.default_rng(31).standard_t(3, (12, 3))),
+                FitConfig(multistart=MultistartConfig(n_starts=12)))
+    first, second, third = heavy.candidates[:3]
+    assert len(heavy.candidates) == 4 and heavy.iterations > 0
+    stop = ("too few rows to keep scoring", 1, 10, 0)
+    assert run(0.3, fitted=heavy) == (
+        [stop], ["2 rows remain; stopping before direction 2"])
+    gaussian = ("Gaussian projection", 1, 0, 0)
+    assert run(0.3, fitted=heavy, candidates=(second, first)) == ([gaussian, stop], [])
+    assert run(0.3, fitted=heavy, candidates=(second, first, third)) == (
+        [gaussian, stop], ["2 rows remain; stopping before direction 3"])
 
 
 def test_every_reestimate_sees_at_least_three_rows(monkeypatch):

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import cgf_outliers
+import cgf_outliers.cgf as cgf_module
+import cgf_outliers.cli as cli_module
 from cgf_outliers import (
     DataMatrix,
     PriceTable,
@@ -317,8 +319,9 @@ def test_write_json_deterministic(tmp_path):
 
 
 def _capture_stderr_json(capsys) -> dict:
-    err = capsys.readouterr().err.strip().splitlines()[-1]
-    return json.loads(err)
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines  # one JSON object, no traceback
+    return json.loads(lines[0])
 
 
 def _simulate(out, seed=0, t=60, n=3) -> int:
@@ -441,7 +444,7 @@ def test_cli_usage_and_input_errors(tmp_path, capsys):
     assert _capture_stderr_json(capsys)["error"] == "usage"
 
 
-def test_cli_detection_failure_exits_one(tmp_path, capsys):
+def test_cli_detection_failure_exits_one(tmp_path, capsys, monkeypatch):
     assert _simulate(tmp_path) == 0
     code = run_cli(
         [
@@ -458,6 +461,57 @@ def test_cli_detection_failure_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert _capture_stderr_json(capsys)["error"] == "DetectionError"
+
+    # no ascent start converges: the other detector runtime failure
+    monkeypatch.setattr(cgf_module, "_TOLERANCE", 1e-16)
+    monkeypatch.setattr(cgf_module, "_MAX_ITERS", 2)
+    out = tmp_path / "out"
+    assert run_cli(["detect", "--data", str(tmp_path / "data.csv"), "--beta", "3",
+                    "--starts", "5", "--out", str(out)]) == 1
+    assert _capture_stderr_json(capsys) == {
+        "error": "ConvergenceError", "message": "no start converged within 2 iterations"}
+    assert not out.exists()
+
+
+def test_cli_reports_an_oversized_cell_as_an_input_error(tmp_path, capsys):
+    # a cell past the csv module's field limit (131,072 characters) ends the parse
+    huge = "1" + "0" * 200_000
+    data = tmp_path / "data.csv"
+    data.write_text("x1,x2\n" + "".join(f"{t},{huge if t == 5 else t}\n" for t in range(20)),
+                    encoding="utf-8")
+    assert run_cli(["detect", "--data", str(data), "--beta", "3", "--out",
+                    str(tmp_path / "out")]) == 2
+    assert _capture_stderr_json(capsys) == {
+        "error": "ValueError",
+        "message": f"{data} row 7: field larger than field limit (131072)"}
+
+    assert _simulate(tmp_path) == 0
+    labels = tmp_path / "labels.csv"
+    labels.write_text("is_outlier\n0\n" + huge + "\n", encoding="utf-8")
+    assert run_cli(["evaluate", "--data", str(tmp_path / "data.csv"), "--labels", str(labels),
+                    "--out", str(tmp_path / "out")]) == 2
+    assert _capture_stderr_json(capsys) == {
+        "error": "ValueError",
+        "message": f"{labels} row 3: field larger than field limit (131072)"}
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_cli_reports_an_unallocatable_size_as_a_configuration_error(
+        tmp_path, capsys, monkeypatch, command):
+    # the size stays small and the draw raises as an oversized one would: a real
+    # multi-TiB request is never made, since an overcommitting host would not refuse it
+    message = "Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"
+
+    def refuse(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli_module, "inject_outliers", refuse)
+    out = tmp_path / "out"
+    assert run_cli([command, "--dist", "normal", "--n", "3", "--t", "10",
+                    "--out", str(out)]) == 2
+    assert _capture_stderr_json(capsys) == {"error": "MemoryError", "message": message}
+    assert not out.exists()
 
 
 def test_cli_version_exits_zero(capsys):

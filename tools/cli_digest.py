@@ -55,6 +55,13 @@ RUNS = [
                            "--beta-grid", "1:0.5:6", *DETECT]),
     ("sweep-maxcgf", ["sweep", *SWEEP]),
     ("sweep-pca", ["sweep", *SWEEP, "--method", "pca"]),
+    # the one run that stops for too few rows: on the seed-0 draw, the first direction's pass
+    # at beta 0.2 leaves 2 of 20 rows, so report.json warns "2 rows remain; stopping before
+    # direction 2"
+    ("simulate-studentt-t20", ["simulate", "--dist", "studentt", "--nu", "5", "--n", "3",
+                               "--t", "20", "--seed", "0"]),
+    ("detect-rows-remain", ["detect", "--data", "simulate-studentt-t20/data.csv", "--beta",
+                            "0.2", *DETECT]),
 ]
 
 
